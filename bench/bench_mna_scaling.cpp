@@ -8,11 +8,13 @@
 // >= 10x faster at the 2000-unknown bus (it lands far above that, since
 // its pattern-frozen refactorization is near O(nnz) for banded ladders).
 //
-// Above the dense-affordable sizes a sparse-only ladder climbs into the
-// 10^4-10^5-unknown regime (ROADMAP item 3): each rung reports the kAmd
-// transient wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA
-// pencil, and the 16 x 128 paper bus closes with the ROM-preconditioned
-// BiCGSTAB vs Jacobi iteration counts against the sparse-LU oracle.
+// The full 1000-step transient on the 16 x 128 paper bus reports its
+// end-to-end wall clock and how many sparse LU factorizations it ran: the
+// bus is linear, so at a fixed timestep the sparse backend factors each
+// distinct matrix once (scripts/bench_gate.sh gates that count). Above the
+// dense-affordable sizes a sparse-only ladder climbs into the
+// 10^4-10^5-unknown regime: each rung reports the kAmd transient
+// wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA pencil.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -22,9 +24,8 @@
 #include "circuit/mna.hpp"
 #include "core/mwcnt_line.hpp"
 #include "numerics/ordering.hpp"
-#include "numerics/solvers.hpp"
 #include "numerics/sparse_lu.hpp"
-#include "rom/interconnect_rom.hpp"
+#include "obs/obs.hpp"
 #include "rom/state_space.hpp"
 
 namespace {
@@ -53,6 +54,13 @@ double timed_bus_seconds(int lines, int segments,
   const auto t1 = std::chrono::steady_clock::now();
   if (result) *result = r;
   return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Fresh plus replayed sparse LU factorizations so far in this process.
+double factorization_count() {
+  return static_cast<double>(
+      obs::counter("cnti.solver.factorizations").value() +
+      obs::counter("cnti.solver.refactorizations").value());
 }
 
 void print_reproduction() {
@@ -100,16 +108,23 @@ void print_reproduction() {
 
   // What the sparse engine unlocks: a full-length transient on the
   // 2000+-unknown bus, which the dense path cannot touch interactively.
+  // The call's factorization count is deterministic: DC (one matrix per
+  // g_min stage) plus one trapezoidal companion matrix.
   circuit::BusCrosstalkResult full;
+  const double factorizations_before = factorization_count();
   const double tfull = timed_bus_seconds(16, 128,
                                          circuit::SolverKind::kSparse, 1000,
                                          &full);
+  const double factorizations = factorization_count() - factorizations_before;
   std::cout << "\nFull 1000-step transient, 16 x 128 bus ("
             << full.unknowns << " unknowns, sparse): "
-            << Table::num(tfull, 4) << " s, worst victim line "
-            << full.worst_victim << ", noise "
-            << Table::num(full.peak_noise_v * 1e3, 4) << " mV\n";
-  bench::json().set("full_transient_s", tfull);
+            << Table::num(tfull, 4) << " s, "
+            << static_cast<long long>(factorizations)
+            << " LU factorizations, worst victim line " << full.worst_victim
+            << ", noise " << Table::num(full.peak_noise_v * 1e3, 4)
+            << " mV\n";
+  bench::json().set("bus_transient_s_16x128", tfull);
+  bench::json().set("bus_factorizations_16x128", factorizations);
   bench::json().set("full_noise_mv", full.peak_noise_v * 1e3);
 
   // --- Sparse-only size ladder into the 10^4-10^5 regime -----------------
@@ -150,14 +165,9 @@ void print_reproduction() {
       }
     }
     const numerics::SparseMatrix a = pencil.build();
-    // kScalar pins the factor kernel: the supernodal path composes an
-    // etree postorder into the column ordering, which would make the
-    // natural-vs-AMD fill comparison measure two different permutations.
     numerics::SparseLu natural;
-    natural.set_factor_mode(numerics::FactorMode::kScalar);
     natural.factorize(a);
     numerics::SparseLu amd;
-    amd.set_factor_mode(numerics::FactorMode::kScalar);
     amd.set_column_ordering(numerics::amd_ordering(a));
     amd.factorize(a);
     const double nnz_nat =
@@ -175,122 +185,9 @@ void print_reproduction() {
       bench::json().set("nnz_lu_amd", nnz_amd);
       bench::json().set("ladder_top_transient_s", ts);
     }
-
-    // --- Supernodal vs scalar refactorization on the big rungs ----------
-    // Interleaved min-of-k: rounds alternate between the two kernels so
-    // ambient machine noise lands on both, and the minimum of each is the
-    // quiet-machine estimate (the contended samples only ever inflate).
-    if ((c.lines == 32 && c.segments == 640) ||
-        (c.lines == 64 && c.segments == 1024)) {
-      const std::string tag =
-          std::to_string(c.lines) + "x" + std::to_string(c.segments);
-      const auto ord = numerics::amd_ordering(a);
-      numerics::SparseLu scalar;
-      scalar.set_factor_mode(numerics::FactorMode::kScalar);
-      scalar.set_column_ordering(ord);
-      scalar.factorize(a);
-      numerics::SparseLu blocked;
-      blocked.set_factor_mode(numerics::FactorMode::kSupernodal);
-      blocked.set_column_ordering(ord);
-      blocked.factorize(a);
-      const std::vector<double> rhs(a.rows(), 1.0);
-      const auto min_refactor = [&](numerics::SparseLu& lu, int reps) {
-        double best = 1e300;
-        for (int i = 0; i < reps; ++i) {
-          const auto f0 = std::chrono::steady_clock::now();
-          lu.factorize(a);
-          const auto f1 = std::chrono::steady_clock::now();
-          best = std::min(best,
-                          std::chrono::duration<double>(f1 - f0).count());
-        }
-        return best;
-      };
-      const auto min_solve = [&](numerics::SparseLu& lu, int reps) {
-        double best = 1e300;
-        for (int i = 0; i < reps; ++i) {
-          const auto f0 = std::chrono::steady_clock::now();
-          const auto x = lu.solve(rhs);
-          const auto f1 = std::chrono::steady_clock::now();
-          benchmark::DoNotOptimize(x.data());
-          best = std::min(best,
-                          std::chrono::duration<double>(f1 - f0).count());
-        }
-        return best;
-      };
-      double t_scalar = 1e300, t_blocked = 1e300;
-      double s_scalar = 1e300, s_blocked = 1e300;
-      for (int round = 0; round < 4; ++round) {
-        t_scalar = std::min(t_scalar, min_refactor(scalar, 3));
-        t_blocked = std::min(t_blocked, min_refactor(blocked, 3));
-        s_scalar = std::min(s_scalar, min_solve(scalar, 3));
-        s_blocked = std::min(s_blocked, min_solve(blocked, 3));
-      }
-      const double factor_speedup = t_scalar / t_blocked;
-      const double solve_speedup = s_scalar / s_blocked;
-      // GFLOP rates: the blocked engine counts its own Schur-update flops;
-      // a triangular solve moves 2 flops per stored factor nonzero.
-      const double gemm_gflops =
-          static_cast<double>(blocked.last_gemm_flops()) / t_blocked * 1e-9;
-      const double solve_gflops =
-          2.0 * nnz_amd / s_blocked * 1e-9;
-      std::cout << "\nSupernodal refactorization, " << tag << " ("
-                << r.unknowns << " unknowns, " << blocked.supernodes()
-                << " supernodes, max width " << blocked.max_supernode_cols()
-                << "):\n  refactor " << Table::num(t_scalar * 1e3, 4)
-                << " ms scalar vs " << Table::num(t_blocked * 1e3, 4)
-                << " ms blocked (" << Table::num(factor_speedup, 3)
-                << "x), Schur GEMM " << Table::num(gemm_gflops, 3)
-                << " GF/s\n  solve    " << Table::num(s_scalar * 1e3, 4)
-                << " ms scalar vs " << Table::num(s_blocked * 1e3, 4)
-                << " ms blocked (" << Table::num(solve_speedup, 3)
-                << "x), " << Table::num(solve_gflops, 3) << " GF/s\n";
-      bench::json().set("supernodal_refactor_speedup_" + tag,
-                        factor_speedup);
-      bench::json().set("supernodal_solve_speedup_" + tag, solve_speedup);
-      bench::json().set("supernodal_gemm_gflops_" + tag, gemm_gflops);
-      bench::json().set("supernodal_solve_gflops_" + tag, solve_gflops);
-      bench::json().set("scalar_refactor_ms_" + tag, t_scalar * 1e3);
-      bench::json().set("supernodal_refactor_ms_" + tag, t_blocked * 1e3);
-      bench::json().set("supernodal_count_" + tag,
-                        static_cast<double>(blocked.supernodes()));
-    }
   }
   ladder.print(std::cout);
   bench::json().set("ladder_max_unknowns", static_cast<double>(max_unknowns));
-
-  // --- ROM-preconditioned Krylov vs Jacobi on the paper bus ---------------
-  // The BusRom's PRIMA basis doubles as a two-level preconditioner for
-  // full-system solves: coarse correction over the reduced span + Jacobi
-  // smoother. Acceptance: >= 5x fewer BiCGSTAB iterations than Jacobi at
-  // 1e-10 relative residual, matching sparse LU to 1e-8.
-  const rom::BusRom bus(bus_config(16, 128, circuit::SolverKind::kSparse));
-  const auto sys = bus.full_system({}, bus.nominal_shift_rad_per_s());
-  numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
-
-  numerics::IterativeOptions iopt;
-  iopt.max_iterations = 20000;
-  iopt.tolerance = 1e-10;
-  const auto jac = numerics::bicgstab(sys.a, sys.rhs, iopt);
-  const auto pre = bus.preconditioner(sys.a);
-  const auto romit = numerics::bicgstab(sys.a, sys.rhs, iopt, {}, pre.fn());
-  double dmax = 0.0;
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    dmax = std::max(dmax, std::abs(x_lu[i] - romit.x[i]));
-  }
-  std::cout << "\nBiCGSTAB on the terminated 16 x 128 bus ("
-            << sys.a.rows() << " unknowns, tol 1e-10):\n"
-            << "  Jacobi:          " << jac.iterations << " iterations"
-            << (jac.converged ? "" : " (stalled, not converged)") << "\n"
-            << "  ROM two-level:   " << romit.iterations
-            << " iterations (q = " << bus.order() << "), |x - x_lu|_max = "
-            << Table::num(dmax, 3) << "\n";
-  bench::json().set("bicgstab_jacobi_iterations",
-                    static_cast<double>(jac.iterations));
-  bench::json().set("bicgstab_rom_iterations",
-                    static_cast<double>(romit.iterations));
-  bench::json().set("rom_vs_lu_max_abs_diff", dmax);
 }
 
 void BM_SparseBusTransient(benchmark::State& state) {

@@ -49,6 +49,14 @@ double delay_or_nan(double first_crossing_s) {
 }  // namespace
 
 PulseWave bus_edge_wave(double vdd_v, double edge_time_s) {
+  // Every MNA and ROM bus stimulus passes through here. A zero edge puts
+  // the pulse high at t = 0, so the aggressor never switches, and an
+  // infinite vdd makes the Norton drive vanish; both used to return
+  // near-zero noise and a NaN delay instead of an error.
+  CNTI_EXPECTS(std::isfinite(edge_time_s) && edge_time_s > 0,
+               "bus stimulus: edge_time_s must be finite and > 0");
+  CNTI_EXPECTS(std::isfinite(vdd_v) && vdd_v > 0,
+               "bus stimulus: vdd_v must be finite and > 0");
   PulseWave pulse;
   pulse.v1 = 0.0;
   pulse.v2 = vdd_v;

@@ -143,6 +143,8 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
 
 /// The single rising edge used by the crosstalk analyses: 0 -> vdd with
 /// the given rise time, delayed by 5 edge times, holding high afterwards.
+/// Throws PreconditionError unless edge_time_s and vdd_v are finite and
+/// positive (the error names the field).
 PulseWave bus_edge_wave(double vdd_v, double edge_time_s);
 
 /// Length of the transient window analyze_bus_crosstalk simulates: 12 RC

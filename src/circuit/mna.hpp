@@ -4,8 +4,10 @@
 // historical engine, kept as the differential-test oracle) and a sparse
 // Gilbert–Peierls LU whose fill pattern and pivot order are computed once
 // per circuit topology and refactorized cheaply across Newton iterations
-// and timesteps. kAuto routes large systems (wide coupled buses, long
-// ladders) to the sparse path; see docs/CIRCUIT_SOLVERS.md.
+// and timesteps — and only when the assembled values actually change, so a
+// linear circuit at a fixed timestep factors once. kAuto routes large
+// systems (wide coupled buses, long ladders) to the sparse path; see
+// docs/CIRCUIT_SOLVERS.md.
 #pragma once
 
 #include <memory>
@@ -32,16 +34,6 @@ enum class OrderingKind {
              ///< symmetrized MNA pattern, computed once per topology.
 };
 
-/// Numeric factorization kernel for the sparse backend's LU.
-enum class FactorKind {
-  kScalar,      ///< Column-at-a-time Gilbert–Peierls replay.
-  kSupernodal,  ///< Blocked elimination over dense supernode panels
-                ///< (etree postorder + relaxed amalgamation; falls back
-                ///< to kScalar per-factorization when a pivot drifts).
-  kAuto,        ///< kSupernodal when the detected partition is wide
-                ///< enough to pay for the panels; kScalar otherwise.
-};
-
 struct MnaOptions {
   SolverKind solver = SolverKind::kAuto;
   /// kAuto picks the sparse backend at or above this many MNA unknowns
@@ -53,11 +45,6 @@ struct MnaOptions {
   /// refactorization reuse contract is unchanged. Ignored by the dense
   /// backend.
   OrderingKind ordering = OrderingKind::kAmd;
-  /// Numeric kernel for the sparse backend. Pattern-only: switching it
-  /// never changes the fill pattern or the refactorization contract, and
-  /// kAuto routes each topology by its detected supernode partition.
-  /// Ignored by the dense backend.
-  FactorKind factor = FactorKind::kAuto;
 };
 
 /// DC operating point.

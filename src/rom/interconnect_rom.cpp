@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,24 +17,16 @@ namespace {
 using circuit::BusConfig;
 using circuit::BusCrosstalkResult;
 
-/// Builds the reduced model for the bare bus with head/far ports. The
-/// descriptor system and the per-line head/far state indices are written
-/// to the output parameters for BusRom::full_system / preconditioner.
-ReducedModel reduce_bus(const BusConfig& cfg, PrimaOptions opt,
-                        StateSpace& ss_out,
-                        std::vector<std::size_t>& head_states,
-                        std::vector<std::size_t>& far_states) {
-  BusStateSpace bss = extract_bus_state_space(cfg.topology());
-  ss_out = std::move(bss.ss);
-  head_states = std::move(bss.head_states);
-  far_states = std::move(bss.far_states);
+/// Builds the reduced model for the bare bus with head/far ports.
+ReducedModel reduce_bus(const BusConfig& cfg, PrimaOptions opt) {
+  const StateSpace ss = extract_bus_state_space(cfg.topology()).ss;
 
   if (opt.order <= 0) {
     // Default budget: three block moments' worth of columns (ports at both
     // ends of every line), capped well below the full order so the
     // reduction stays a reduction. Empirically this holds the 16 x 128
     // paper bus to ~1e-4 % noise/delay error vs the full transient.
-    opt.order = std::min(6 * cfg.lines, ss_out.size / 2);
+    opt.order = std::min(6 * cfg.lines, ss.size / 2);
   }
   if (opt.expansion_rad_per_s <= 0.0) {
     // The bare network is held up only by g_min (the drivers that ground
@@ -43,8 +34,7 @@ ReducedModel reduce_bus(const BusConfig& cfg, PrimaOptions opt,
     // corner frequency instead of DC.
     opt.expansion_rad_per_s = 20.0 / circuit::bus_settle_time_s(cfg);
   }
-  opt.keep_basis = true;  // preconditioner() needs V
-  return prima_reduce(ss_out, opt);
+  return prima_reduce(ss, opt);
 }
 
 }  // namespace
@@ -141,7 +131,7 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
 BusRom::BusRom(const BusConfig& config, PrimaOptions options)
     : config_(config),
       aggressor_(config.aggressor < 0 ? config.lines / 2 : config.aggressor),
-      rom_(reduce_bus(config, options, ss_, head_states_, far_states_)) {
+      rom_(reduce_bus(config, options)) {
   CNTI_EXPECTS(aggressor_ >= 0 && aggressor_ < config_.lines,
                "BusRom: aggressor index out of range");
 }
@@ -152,52 +142,6 @@ BusRom::BusRom(const circuit::BusTopology& topology, int aggressor,
                                       circuit::BusDrive{.aggressor =
                                                             aggressor}),
              options) {}
-
-double BusRom::nominal_shift_rad_per_s() const {
-  return 20.0 / circuit::bus_settle_time_s(config_);
-}
-
-BusSystem BusRom::full_system(const BusScenario& sc, double s) const {
-  CNTI_EXPECTS(sc.driver_ohm > 0, "BusRom: driver resistance must be > 0");
-  CNTI_EXPECTS(sc.receiver_load_f >= 0, "BusRom: load must be >= 0");
-  CNTI_EXPECTS(s >= 0, "BusRom: shift must be >= 0");
-  const std::size_t n = static_cast<std::size_t>(ss_.size);
-
-  // A = G + s C over the bare pattern, then the scenario's terminations on
-  // the port diagonals — the same network evaluate() folds into the
-  // reduced matrices, assembled at full order.
-  numerics::SparseBuilder b(n, n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t t = ss_.g.row_ptr()[r]; t < ss_.g.row_ptr()[r + 1];
-         ++t) {
-      b.add(r, ss_.g.col_indices()[t], ss_.g.values()[t]);
-    }
-  }
-  if (s != 0.0) {
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t t = ss_.c.row_ptr()[r]; t < ss_.c.row_ptr()[r + 1];
-           ++t) {
-        b.add(r, ss_.c.col_indices()[t], s * ss_.c.values()[t]);
-      }
-    }
-  }
-  const double g_drv = 1.0 / sc.driver_ohm;
-  for (const std::size_t h : head_states_) b.add(h, h, g_drv);
-  if (sc.receiver_load_f > 0.0 && s != 0.0) {
-    for (const std::size_t f : far_states_) {
-      b.add(f, f, s * sc.receiver_load_f);
-    }
-  }
-
-  BusSystem sys;
-  sys.a = b.build();
-  sys.rhs.assign(n, 0.0);
-  // Norton drive: the aggressor's settled Thevenin source vdd behind
-  // R_driver injects vdd / R_driver at its head port.
-  sys.rhs[head_states_[static_cast<std::size_t>(aggressor_)]] =
-      sc.vdd_v * g_drv;
-  return sys;
-}
 
 BusScenario BusRom::nominal_scenario() const {
   BusScenario sc;

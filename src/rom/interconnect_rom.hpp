@@ -14,10 +14,7 @@
 #pragma once
 
 #include "circuit/crosstalk.hpp"
-#include "numerics/solvers.hpp"
-#include "numerics/sparse.hpp"
 #include "rom/prima.hpp"
-#include "rom/rom_preconditioner.hpp"
 
 namespace cnti::rom {
 
@@ -56,16 +53,6 @@ circuit::BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare,
                                                  const BusScenario& scenario,
                                                  double t_stop_s,
                                                  int time_steps);
-
-/// Full-order terminated bus system A x = b at one (real) frequency-like
-/// shift: A = G + Gdrv + s (C + Cload) over the bare-bus state vector,
-/// with the aggressor's Norton drive current on the right-hand side. The
-/// companion system of one backward-Euler step is exactly this form with
-/// s = 1/dt, so it doubles as the iterative-solver benchmark system.
-struct BusSystem {
-  numerics::SparseMatrix a;
-  std::vector<double> rhs;
-};
 
 class BusRom {
  public:
@@ -107,31 +94,10 @@ class BusRom {
   /// full-MNA path can never disagree on the grid.
   double window_s(const BusScenario& scenario) const;
 
-  /// Assembles the full-order terminated system at shift `s` [rad/s]
-  /// (s >= 0): driver conductances fold onto the head diagonals, receiver
-  /// loads onto the far-end diagonals, and the aggressor head gets its
-  /// Norton current vdd / R_driver. Solving it with SparseLu gives the
-  /// steady full-network response the ROM approximates; solving it with a
-  /// Krylov method is what preconditioner() accelerates.
-  BusSystem full_system(const BusScenario& scenario, double s) const;
-
-  /// Default shift for full_system: the reduction's expansion corner
-  /// 20 / settle_time, where the ROM basis is most informative.
-  double nominal_shift_rad_per_s() const;
-
-  /// Two-level ROM+Jacobi preconditioner for Krylov solves of `a` (any
-  /// matrix over the same state vector, typically full_system().a at some
-  /// shift). Pass to numerics::bicgstab / numerics::gmres via fn().
-  RomPreconditioner preconditioner(const numerics::SparseMatrix& a) const {
-    return RomPreconditioner(a, rom_.basis());
-  }
-
  private:
   circuit::BusConfig config_;
   int aggressor_ = 0;
-  StateSpace ss_;  ///< Bare-bus descriptor (filled by reduce_bus).
-  std::vector<std::size_t> head_states_, far_states_;  ///< Per line.
-  ReducedModel rom_;  ///< Declared last: its init populates the above.
+  ReducedModel rom_;
 };
 
 }  // namespace cnti::rom

@@ -66,7 +66,6 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   const obs::ObsSpan reduce_span("prima.reduce", "rom", reduce_hist);
 
   SparseLu lu;
-  lu.set_factor_mode(options.factor);
   lu.factorize(shifted_pencil(ss.g, ss.c, options.expansion_rad_per_s));
 
   // Modified Gram-Schmidt with one reorthogonalization pass; returns false

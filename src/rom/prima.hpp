@@ -13,7 +13,6 @@
 // driver/load/waveform scenarios against the q x q system.
 #pragma once
 
-#include "numerics/supernodal.hpp"
 #include "rom/reduced_model.hpp"
 #include "rom/state_space.hpp"
 
@@ -34,14 +33,9 @@ struct PrimaOptions {
   double deflation_tol = 1e-8;
   /// Retain the orthonormal projection basis V (n x q) on the returned
   /// model. Costs n*q doubles of storage; required for uses that map
-  /// between full and reduced coordinates, e.g. two-level ROM
-  /// preconditioning of full-system Krylov solves (rom_preconditioner.hpp).
+  /// between full and reduced coordinates, e.g. merging corner bases in
+  /// ParametrizedBusRom.
   bool keep_basis = false;
-  /// Numeric kernel for the Arnoldi LU. PRIMA factorizes G + s0 C exactly
-  /// once and then back-substitutes q times, so the supernodal kernel's
-  /// refactorization advantage never materializes here — scalar is the
-  /// right default; the knob exists for experiments on very large nets.
-  numerics::FactorMode factor = numerics::FactorMode::kScalar;
 };
 
 /// Runs block Arnoldi + congruence projection on an extracted descriptor

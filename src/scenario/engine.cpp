@@ -48,7 +48,6 @@ ContentKey topology_drive_key(const char* schema,
       .add(drive.mna.solver)
       .add(drive.mna.sparse_threshold)
       .add(drive.mna.ordering)
-      .add(drive.mna.factor)
       .add(time_steps);
   return h.key();
 }
@@ -200,9 +199,11 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // .v3: the settle window gained the receiver load and the delay
       // sentinel became NaN — same key inputs, different values, so the
       // schema bump retires every pre-fix persisted entry (PR-7 policy).
-      // .v4: the sparse LU gained the supernodal kernel (kAuto default);
-      // last-bit rounding differs from the scalar path, so persisted
-      // numeric leaves from the scalar era are retired wholesale.
+      // .v4: the sparse LU gained a blocked (dense-panel) kernel; last-bit
+      // rounding differed from the scalar path, so persisted numeric
+      // leaves from the scalar era were retired wholesale. The ROM path
+      // factors with the scalar kernel only, so removing the blocked
+      // kernel again left these bits, and this tag, unchanged.
       KeyHasher eval_key = line_rlc_hasher("stage.bus-rom-eval.v4",
                                            topology.line);
       eval_key.add(topology.coupling_cap_per_m)
@@ -242,9 +243,13 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // Full sparse-MNA transient: each distinct drive is simulated once
       // and persisted; the bare netlist is built once per topology,
       // memory-only, nested so a disk hit skips even the build.
+      // .v5: the blocked LU kernel was removed. The key lost its factor
+      // kernel field, and buses of 1024+ unknowns moved ~3e-12 relative
+      // back to the scalar kernel's bits, so .v4 entries are retired
+      // (schema-bump policy, docs/SCENARIO_ENGINE.md).
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
           stage::kBusMna,
-          topology_drive_key("stage.bus-mna.v4", topology, drive,
+          topology_drive_key("stage.bus-mna.v5", topology, drive,
                              s.analysis.time_steps),
           [&] {
             const auto bare = cache_.get_or_compute<circuit::BusNetlist>(

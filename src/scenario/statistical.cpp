@@ -316,7 +316,7 @@ StatisticalShard ScenarioEngine::run_statistical(const Scenario& s,
   // across every sample, shard and thread of the study. Memory-only, like
   // the plain BusRom stage: the reduction nests inside the per-sample
   // evaluations and is cheap relative to the study it unlocks.
-  // .v2: sparse-LU supernodal kernel era (see engine.cpp's .v4 bumps).
+  // .v2: blocked sparse-LU kernel era (see engine.cpp's .v4 bumps).
   KeyHasher prom_key("stage.bus-prom.v2");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "circuit/builders.hpp"
 #include "circuit/crosstalk.hpp"
@@ -525,6 +527,38 @@ TEST(BusCrosstalk, NeverCrossedDelayIsQuietNaNNotNegative) {
   // The peak-noise fields stay valid even when the delay does not.
   EXPECT_TRUE(std::isfinite(r.peak_noise_v));
   EXPECT_GE(r.worst_victim, 0);
+}
+
+TEST(BusCrosstalk, RejectsDegenerateEdgeTimeAndVdd) {
+  // Regression: edge_time_s = 0 put the pulse high at t = 0, so the
+  // aggressor never switched and the call returned noise ~3e-14 V with a
+  // NaN delay; vdd_v = inf returned noise 0. Both must now throw, with an
+  // error that names the field.
+  const cir::BusTopology topology = settle_bus_topology();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](const cir::BusDrive& drive,
+                                   const std::string& field) {
+    try {
+      (void)cir::analyze_bus_crosstalk(cir::make_bus_config(topology, drive),
+                                       100);
+      ADD_FAILURE() << "no error for bad " << field;
+    } catch (const cnti::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field + " must be"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double edge : {0.0, -20e-12, inf, nan}) {
+    cir::BusDrive drive;
+    drive.edge_time_s = edge;
+    expect_rejected(drive, "edge_time_s");
+  }
+  for (const double vdd : {0.0, -1.0, inf, nan}) {
+    cir::BusDrive drive;
+    drive.vdd_v = vdd;
+    expect_rejected(drive, "vdd_v");
+  }
 }
 
 }  // namespace

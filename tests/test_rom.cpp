@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
+#include <string>
 
 #include "circuit/ac.hpp"
 #include "circuit/builders.hpp"
@@ -18,13 +20,9 @@
 #include "core/mwcnt_line.hpp"
 #include "core/sweep_engine.hpp"
 #include "numerics/interp.hpp"
-#include "numerics/solvers.hpp"
-#include "numerics/sparse.hpp"
-#include "numerics/sparse_lu.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
 #include "rom/prima.hpp"
-#include "rom/rom_preconditioner.hpp"
 
 namespace cir = cnti::circuit;
 namespace cc = cnti::core;
@@ -492,6 +490,36 @@ TEST(ReducedModel, StepResponseSettlesToDcGain) {
   EXPECT_NEAR(d, std::log(2.0) * 1e-9, 0.01 * 1e-9);
 }
 
+TEST(BusRom, RejectsDegenerateEdgeTimeAndVdd) {
+  // Regression: the ROM path shares the MNA path's stimulus, and used to
+  // return the same silent noise ~3e-14 V / NaN delay for a zero edge and
+  // noise 0 for an infinite vdd. Both must now throw, naming the field.
+  const rom::BusRom bus(paper_bus(4, 8));
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [&](const rom::BusScenario& sc,
+                                   const std::string& field) {
+    try {
+      (void)bus.evaluate(sc, 100);
+      ADD_FAILURE() << "no error for bad " << field;
+    } catch (const cnti::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(field + " must be"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const double edge : {0.0, -20e-12, inf, nan}) {
+    rom::BusScenario sc;
+    sc.edge_time_s = edge;
+    expect_rejected(sc, "edge_time_s");
+  }
+  for (const double vdd : {0.0, -1.0, inf, nan}) {
+    rom::BusScenario sc;
+    sc.vdd_v = vdd;
+    expect_rejected(sc, "vdd_v");
+  }
+}
+
 // --- Deterministic parallel scenario sweeps ------------------------------
 
 TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
@@ -519,95 +547,33 @@ TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
   EXPECT_GT(*std::max_element(serial.begin(), serial.end()), 0.0);
 }
 
-// --- ROM as a preconditioner for full-system Krylov solves ---------------
+// --- Projection basis retention ------------------------------------------
 
-TEST(RomPrecond, BasisIsRetainedAndSurvivesTermination) {
-  const rom::BusRom bus(paper_bus(4, 12));
-  const rom::ReducedModel& m = bus.model();
+TEST(Prima, KeepBasisRetainsVThroughTermination) {
+  // keep_basis stores the n x q projection basis V on the model, which
+  // ParametrizedBusRom needs to merge its corner bases. Terminations are
+  // reduced-space congruence updates, so V survives them unchanged.
+  const cir::BusConfig cfg = paper_bus(4, 12);
+  const rom::BusStateSpace bus = rom::extract_bus_state_space(cfg.topology());
+  rom::PrimaOptions opt;
+  opt.order = 12;
+  opt.expansion_rad_per_s = 20.0 / cir::bus_settle_time_s(cfg);
+  opt.keep_basis = true;
+  const rom::ReducedModel m = rom::prima_reduce(bus.ss, opt);
   ASSERT_TRUE(m.has_basis());
   EXPECT_EQ(static_cast<int>(m.basis().size()), m.order());
   for (const auto& col : m.basis()) {
     EXPECT_EQ(static_cast<int>(col.size()), m.full_order());
   }
-  // Terminations are reduced-space updates: the span (and the stored V)
-  // is unchanged.
   const rom::ReducedModel term = m.terminated({{0, 0, 1e-4, 0.0}});
   EXPECT_TRUE(term.has_basis());
-  EXPECT_EQ(term.basis().size(), m.basis().size());
+  EXPECT_EQ(term.basis(), m.basis());
 
-  // Without keep_basis (the prima_reduce default) nothing is stored and
-  // the preconditioner constructor rejects the empty basis.
-  cir::NodeId out = 0;
-  cir::Circuit ckt = rc_lowpass(&out);
-  const rom::ReducedModel plain =
-      rom::prima_reduce(rom::extract_state_space(ckt), {.order = 2});
-  EXPECT_FALSE(plain.has_basis());
-  cnti::numerics::SparseBuilder b(3, 3);
-  for (std::size_t i = 0; i < 3; ++i) b.add(i, i, 1.0);
-  EXPECT_THROW(rom::RomPreconditioner(b.build(), plain.basis()),
-               cnti::PreconditionError);
-}
-
-TEST(RomPrecond, FullSystemSolvesMatchSparseLu) {
-  // full_system() must assemble the same terminated network evaluate()
-  // folds into the reduced matrices; its LU solution is the oracle for
-  // every iterative variant below.
-  const rom::BusRom bus(paper_bus(8, 32));
-  const rom::BusScenario sc;
-  const auto sys = bus.full_system(sc, bus.nominal_shift_rad_per_s());
-  ASSERT_EQ(static_cast<int>(sys.a.rows()), bus.full_order());
-
-  cnti::numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
-
-  cnti::numerics::IterativeOptions opt;
-  opt.max_iterations = 20000;
-  opt.tolerance = 1e-12;
-  const auto pre = bus.preconditioner(sys.a);
-  const auto bicg =
-      cnti::numerics::bicgstab(sys.a, sys.rhs, opt, {}, pre.fn());
-  ASSERT_TRUE(bicg.converged);
-  const auto gm = cnti::numerics::gmres(sys.a, sys.rhs, opt, {}, pre.fn());
-  ASSERT_TRUE(gm.converged);
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    EXPECT_NEAR(bicg.x[i], x_lu[i], 1e-8);
-    EXPECT_NEAR(gm.x[i], x_lu[i], 1e-8);
-  }
-}
-
-TEST(RomPrecond, RomPreconditionedBicgstabBeatsJacobiOnPaperBus) {
-  // The acceptance benchmark of the iterative path: on the 16 x 128 paper
-  // bus (2096 unknowns) the two-level ROM preconditioner must converge at
-  // least 5x faster than plain Jacobi at 1e-10 relative residual while
-  // matching the sparse LU solution to 1e-8. (Empirically Jacobi stalls
-  // near 1e-7 without converging at all; the 5x bound holds either way.)
-  const rom::BusRom bus(paper_bus(16, 128));
-  const rom::BusScenario sc;
-  const auto sys = bus.full_system(sc, bus.nominal_shift_rad_per_s());
-
-  cnti::numerics::SparseLu lu;
-  lu.factorize(sys.a);
-  const auto x_lu = lu.solve(sys.rhs);
-
-  cnti::numerics::IterativeOptions opt;
-  opt.max_iterations = 20000;
-  opt.tolerance = 1e-10;
-  const auto jac = cnti::numerics::bicgstab(sys.a, sys.rhs, opt);
-  const auto pre = bus.preconditioner(sys.a);
-  const auto romit =
-      cnti::numerics::bicgstab(sys.a, sys.rhs, opt, {}, pre.fn());
-
-  ASSERT_TRUE(romit.converged);
-  EXPECT_GT(romit.iterations, 0u);
-  const std::size_t jacobi_cost =
-      jac.converged ? jac.iterations : opt.max_iterations;
-  EXPECT_GE(jacobi_cost, 5 * romit.iterations)
-      << "jacobi: " << jac.iterations << " (converged=" << jac.converged
-      << "), rom: " << romit.iterations;
-  for (std::size_t i = 0; i < x_lu.size(); ++i) {
-    EXPECT_NEAR(romit.x[i], x_lu[i], 1e-8);
-  }
+  // Without keep_basis (the default, and what BusRom uses) nothing is
+  // stored.
+  opt.keep_basis = false;
+  EXPECT_FALSE(rom::prima_reduce(bus.ss, opt).has_basis());
+  EXPECT_FALSE(rom::BusRom(cfg).model().has_basis());
 }
 
 // --- Corner-anchored parametrized bus ROM --------------------------------

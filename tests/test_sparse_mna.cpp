@@ -7,10 +7,17 @@
 //  2. The dense-vs-sparse differential harness — every circuit scenario
 //     (DC, dc_sweep, RC/RLC/MOSFET transients, pair and bus crosstalk) is
 //     run through both MNA backends and the full node waveforms must agree
-//     to 1e-8 relative.
+//     to 1e-8 relative. Cases whose matrix changes between solves (the
+//     MOSFET DC point and VTC sweep, and the DC g_min stages under every
+//     transient) also fail if a changed matrix skips its refactorization.
+//  3. The sparse backend's factor-once contract: a linear bus transient
+//     factors each distinct matrix once, and skipping the repeats leaves
+//     its KPIs bit-identical to an engine that refactors on every solve.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/builders.hpp"
@@ -21,10 +28,10 @@
 #include "common/error.hpp"
 #include "core/mwcnt_line.hpp"
 #include "numerics/matrix.hpp"
-#include "numerics/ordering.hpp"
 #include "numerics/rng.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 
 namespace cir = cnti::circuit;
 namespace cn = cnti::numerics;
@@ -270,204 +277,6 @@ TEST(SparseLu, RefactorizationRepivotsOnDegradedPivot) {
   const auto xd = cn::LuFactorization<double>(dense).solve(b);
   EXPECT_NEAR(xs[0], xd[0], 1e-10);
   EXPECT_NEAR(xs[1], xd[1], 1e-10);
-}
-
-// ---------------------------------------------------------------------------
-// Supernodal / blocked elimination path.
-// ---------------------------------------------------------------------------
-
-TEST(SupernodalLu, BlockedMatchesScalarOnRandomSystems) {
-  // The blocked kernels must agree with the scalar engine to 1e-10 across
-  // random diagonally-dominant systems and saddle-point MNA ladders, on
-  // both the fresh factorization and a same-pattern numeric replay.
-  cn::Rng rng(7);
-  for (int trial = 0; trial < 3; ++trial) {
-    RandomSystem sys = make_diag_dominant(rng, 300, 4);
-    cn::SparseLu scalar;
-    scalar.set_factor_mode(cn::FactorMode::kScalar);
-    cn::SparseLu blocked;
-    blocked.set_factor_mode(cn::FactorMode::kSupernodal);
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) {
-        for (auto& v : sys.sparse.values()) v *= rng.uniform(0.8, 1.2);
-      }
-      scalar.factorize(sys.sparse);
-      blocked.factorize(sys.sparse);
-      EXPECT_TRUE(blocked.blocked_active());
-      EXPECT_GT(blocked.supernodes(), 0u);
-      const auto xs = scalar.solve(sys.b);
-      const auto xb = blocked.solve(sys.b);
-      double scale = 1.0;
-      for (const double v : xs) scale = std::max(scale, std::abs(v));
-      for (std::size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_NEAR(xb[i], xs[i], 1e-10 * scale)
-            << "trial " << trial << " pass " << pass << " component " << i;
-      }
-    }
-  }
-  for (int trial = 0; trial < 3; ++trial) {
-    const RandomSystem sys = make_rc_ladder_mna(rng, 200);
-    cn::SparseLu blocked;
-    blocked.set_factor_mode(cn::FactorMode::kSupernodal);
-    blocked.factorize(sys.sparse);
-    expect_matches_dense(sys, 1e-10);
-    const auto xb = blocked.solve(sys.b);
-    const auto xd = cn::LuFactorization<double>(sys.dense).solve(sys.b);
-    double scale = 1.0;
-    for (const double v : xd) scale = std::max(scale, std::abs(v));
-    for (std::size_t i = 0; i < xd.size(); ++i) {
-      EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-    }
-  }
-}
-
-TEST(SupernodalLu, RefactorizationReusesPartition) {
-  cn::Rng rng(19);
-  RandomSystem sys = make_diag_dominant(rng, 400, 4);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(sys.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-  const std::size_t partition = lu.supernodes();
-  const std::size_t panel_nnz = lu.blocked_panel_nnz();
-
-  for (auto& v : sys.sparse.values()) v *= rng.uniform(0.9, 1.1);
-  lu.factorize(sys.sparse);
-  EXPECT_TRUE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  EXPECT_EQ(lu.supernodes(), partition);
-  EXPECT_EQ(lu.blocked_panel_nnz(), panel_nnz);
-  EXPECT_GT(lu.last_gemm_flops(), 0u);
-}
-
-TEST(SupernodalLu, SetColumnOrderingInvalidatesPartition) {
-  cn::Rng rng(23);
-  const RandomSystem sys = make_diag_dominant(rng, 300, 4);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(sys.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-
-  // Installing a new column ordering retires the stored partition with
-  // the symbolic analysis; the next factorize() rebuilds both fresh and
-  // still solves correctly under the new permutation.
-  lu.set_column_ordering(cn::amd_ordering(sys.sparse));
-  EXPECT_FALSE(lu.blocked_active());
-  lu.factorize(sys.sparse);
-  EXPECT_FALSE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  const auto xb = lu.solve(sys.b);
-  const auto xd = cn::LuFactorization<double>(sys.dense).solve(sys.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, PatternChangeInvalidatesPartition) {
-  cn::Rng rng(29);
-  const RandomSystem first = make_diag_dominant(rng, 300, 3);
-  const RandomSystem second = make_diag_dominant(rng, 250, 5);
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  lu.factorize(first.sparse);
-  ASSERT_TRUE(lu.blocked_active());
-
-  // A different pattern must re-run detection, not replay stale panels.
-  lu.factorize(second.sparse);
-  EXPECT_FALSE(lu.reused_symbolic());
-  EXPECT_TRUE(lu.blocked_active());
-  const auto xb = lu.solve(second.b);
-  const auto xd =
-      cn::LuFactorization<double>(second.dense).solve(second.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, RepivotFallbackReproducesScalarBitwise) {
-  // A blocked replay whose in-supernode pivot degrades past the growth
-  // bound falls back to a fresh scalar factorization and stays scalar for
-  // the pattern — the contract is *bitwise* identity with the pure scalar
-  // engine (given the same column ordering), not just tolerance-level
-  // agreement.
-  cn::SparseBuilder builder(2, 2);
-  builder.add(0, 0, 10.0);
-  builder.add(0, 1, 1.0);
-  builder.add(1, 0, 1.0);
-  builder.add(1, 1, 1.0);
-  cn::SparseMatrix a = builder.build();
-  cn::SparseLu lu;
-  lu.set_factor_mode(cn::FactorMode::kSupernodal);
-  // Width-1 supernodes: a degraded pivot's rescue row then lives outside
-  // its own panel, so the in-supernode re-pivot cannot absorb it and the
-  // replay must take the scalar fallback. (With the default amalgamation
-  // this 2x2 would fuse into one panel and re-pivot internally.)
-  cn::SupernodeSettings narrow;
-  narrow.max_cols = 1;
-  lu.set_supernode_settings(narrow);
-  lu.factorize(a);
-  ASSERT_TRUE(lu.blocked_active());
-
-  for (std::size_t k = a.row_ptr()[0]; k < a.row_ptr()[1]; ++k) {
-    if (a.col_indices()[k] == 0) a.values()[k] = 1e-14;
-  }
-  lu.factorize(a);
-  EXPECT_FALSE(lu.reused_symbolic());  // fell back to full factorization
-  EXPECT_FALSE(lu.blocked_active());   // ... and stays scalar now
-
-  cn::SparseLu ref;
-  ref.set_factor_mode(cn::FactorMode::kScalar);
-  ref.set_column_ordering(lu.column_ordering());
-  ref.factorize(a);
-  const std::vector<double> b = {1.0, 2.0};
-  const auto x_fallback = lu.solve(b);
-  const auto x_scalar = ref.solve(b);
-  ASSERT_EQ(x_fallback.size(), x_scalar.size());
-  for (std::size_t i = 0; i < x_scalar.size(); ++i) {
-    EXPECT_EQ(x_fallback[i], x_scalar[i]) << "component " << i;
-  }
-
-  // Subsequent same-pattern replays stay on (bitwise) scalar ground too.
-  for (auto& v : a.values()) v *= 2.0;
-  lu.factorize(a);
-  ref.factorize(a);
-  EXPECT_TRUE(lu.reused_symbolic());
-  const auto y_fallback = lu.solve(b);
-  const auto y_scalar = ref.solve(b);
-  for (std::size_t i = 0; i < y_scalar.size(); ++i) {
-    EXPECT_EQ(y_fallback[i], y_scalar[i]) << "component " << i;
-  }
-}
-
-TEST(SupernodalLu, AutoRoutesBySizeAndPartitionWidth) {
-  cn::Rng rng(31);
-  // Below the size gate kAuto stays scalar.
-  const RandomSystem small = make_diag_dominant(rng, 60, 3);
-  cn::SparseLu lu_small;  // FactorMode::kAuto is the default
-  EXPECT_EQ(lu_small.factor_mode(), cn::FactorMode::kAuto);
-  lu_small.factorize(small.sparse);
-  EXPECT_FALSE(lu_small.blocked_active());
-
-  // With the size gate lowered, the same kind of system engages the
-  // blocked path (leaf amalgamation gives a wide-enough partition).
-  const RandomSystem big = make_diag_dominant(rng, 800, 3);
-  cn::SparseLu lu_big;
-  cn::SupernodeSettings settings;
-  settings.auto_min_unknowns = 64;
-  lu_big.set_supernode_settings(settings);
-  lu_big.factorize(big.sparse);
-  EXPECT_TRUE(lu_big.blocked_active());
-  const auto xb = lu_big.solve(big.b);
-  const auto xd = cn::LuFactorization<double>(big.dense).solve(big.b);
-  double scale = 1.0;
-  for (const double v : xd) scale = std::max(scale, std::abs(v));
-  for (std::size_t i = 0; i < xd.size(); ++i) {
-    EXPECT_NEAR(xb[i], xd[i], 1e-10 * scale) << "component " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -788,36 +597,69 @@ TEST(DenseSparseDifferential, AmdAndNaturalOrderingAgreeOnCoupledBus) {
               1e-8 * dense.aggressor_delay_s + 1e-18);
 }
 
-TEST(DenseSparseDifferential, ScalarAndSupernodalFactorAgreeOnCoupledBus) {
-  // The elimination kernel is a numerics-only choice: a bus transient
-  // through the scalar Gilbert–Peierls replay and through the supernodal
-  // panels (forced on, ignoring the kAuto size gate) must agree to the
-  // differential tolerance, and both must match the dense oracle.
+// ---------------------------------------------------------------------------
+// Factor once: the sparse backend skips refactorizations of unchanged values.
+// ---------------------------------------------------------------------------
+
+/// Fresh plus replayed SparseLu factorizations so far in this process.
+std::uint64_t factorization_count() {
+  return cnti::obs::counter("cnti.solver.factorizations").value() +
+         cnti::obs::counter("cnti.solver.refactorizations").value();
+}
+
+std::uint64_t solve_count() {
+  return cnti::obs::counter("cnti.solver.solves").value();
+}
+
+/// A small linear bus forced onto the sparse backend. The line values are
+/// plain decimal constants rather than the CNT physics chain, so the
+/// transient uses only IEEE basic arithmetic and its bits do not depend on
+/// the platform's libm.
+cir::BusConfig linear_sparse_bus() {
   cir::BusConfig cfg;
-  cfg.line = cnti::core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
+  cfg.line = {20e3, 36e6, 50e-12, 450e-6};
   cfg.coupling_cap_per_m = 30e-12;
   cfg.length_m = 50e-6;
-  cfg.lines = 6;
-  cfg.segments = 16;
-  cfg.aggressor = 2;
-
+  cfg.lines = 4;
+  cfg.segments = 12;
+  cfg.aggressor = 1;
   cfg.mna = sparse_opts();
-  cfg.mna.factor = cir::FactorKind::kScalar;
-  const cir::BusCrosstalkResult scalar = cir::analyze_bus_crosstalk(cfg, 400);
-  cfg.mna.factor = cir::FactorKind::kSupernodal;
-  const cir::BusCrosstalkResult blocked =
-      cir::analyze_bus_crosstalk(cfg, 400);
-  cfg.mna = dense_opts();
-  const cir::BusCrosstalkResult dense = cir::analyze_bus_crosstalk(cfg, 400);
+  return cfg;
+}
 
-  EXPECT_EQ(blocked.worst_victim, scalar.worst_victim);
-  EXPECT_EQ(blocked.worst_victim, dense.worst_victim);
-  EXPECT_NEAR(blocked.peak_noise_v, scalar.peak_noise_v,
-              1e-8 * std::max(1.0, std::abs(scalar.peak_noise_v)));
-  EXPECT_NEAR(blocked.peak_noise_v, dense.peak_noise_v,
-              1e-8 * std::max(1.0, std::abs(dense.peak_noise_v)));
-  EXPECT_NEAR(blocked.aggressor_delay_s, dense.aggressor_delay_s,
-              1e-8 * dense.aggressor_delay_s + 1e-18);
+TEST(FactorOnce, LinearBusTransientFactorsOncePerDistinctMatrix) {
+  // The bus has no MOSFETs, so its distinct matrices are one per DC g_min
+  // stage (4) and the trapezoidal companion matrix at the fixed dt. The
+  // companion matrix's first assembly sums duplicate stamps in recording
+  // order and later ones in stamp order, so it may take two bit patterns.
+  // That bounds the call at 6 factorizations, against ~800 solves.
+  const std::uint64_t f0 = factorization_count();
+  const std::uint64_t s0 = solve_count();
+  (void)cir::analyze_bus_crosstalk(linear_sparse_bus(), 400);
+  const std::uint64_t factorizations = factorization_count() - f0;
+  const std::uint64_t solves = solve_count() - s0;
+  EXPECT_GE(solves, 400u);
+  EXPECT_GE(factorizations, 1u);
+  EXPECT_LE(factorizations, 6u) << "over " << solves << " solves";
+}
+
+TEST(FactorOnce, SkippedRefactorsLeaveBusKpisBitIdentical) {
+  // A replay of bitwise-equal values reproduces the stored factors bit for
+  // bit, so skipping it must not move a single KPI bit. The pinned values
+  // were produced by the engine when it refactored on every solve (783
+  // factorizations for 783 solves on this bus).
+  const std::uint64_t f0 = factorization_count();
+  const std::uint64_t s0 = solve_count();
+  const cir::BusCrosstalkResult r =
+      cir::analyze_bus_crosstalk(linear_sparse_bus(), 400);
+  // The identity only means something if the skip actually engaged.
+  ASSERT_LT(10 * (factorization_count() - f0), solve_count() - s0);
+  EXPECT_EQ(r.unknowns, 62);
+  EXPECT_EQ(r.worst_victim, 0);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(r.peak_noise_v), bits(0x1.deea2f0606d29p-4));
+  EXPECT_EQ(bits(r.peak_time_s), bits(0x1.89079845cc361p-33));
+  EXPECT_EQ(bits(r.aggressor_delay_s), bits(0x1.7501263ff13f6p-33));
 }
 
 }  // namespace
