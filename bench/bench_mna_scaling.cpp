@@ -1,19 +1,15 @@
-// MNA linear-backend scaling: dense LU vs the sparse Gilbert–Peierls path
-// on coupled CNT bus transients of growing size. This is the engine-level
-// benchmark behind the ROADMAP scale goals — wide multi-line buses
-// (Ting/Kreupl-style CNT via arrays and bus interconnects) need thousands
-// of unknowns, where a fresh dense O(n^3) factorization per Newton
-// iteration is the wall. The reproduction table reports wall-clock for an
-// identical short transient through both backends; the sparse path must be
-// >= 10x faster at the 2000-unknown bus (it lands far above that, since
-// its pattern-frozen refactorization is near O(nnz) for banded ladders).
+// MNA engine scaling on coupled CNT bus transients of growing size. This is
+// the engine-level benchmark behind the ROADMAP scale goals — wide
+// multi-line buses (Ting/Kreupl-style CNT via arrays and bus interconnects)
+// need thousands of unknowns, which the sparse engine's pattern-frozen
+// refactorization handles in near O(nnz) per factorization.
 //
 // The full 1000-step transient on the 16 x 128 paper bus reports its
-// end-to-end wall clock and how many sparse LU factorizations it ran: the
-// bus is linear, so at a fixed timestep the sparse backend factors each
-// distinct matrix once (scripts/bench_gate.sh gates that count). Above the
-// dense-affordable sizes a sparse-only ladder climbs into the
-// 10^4-10^5-unknown regime: each rung reports the kAmd transient
+// end-to-end wall clock and how many sparse LU factorizations and solves
+// it ran: the bus is linear, so DC and the transient share one pattern,
+// each distinct matrix is factored once and each step takes one solve
+// (scripts/bench_gate.sh gates both counts). A size ladder then climbs
+// into the 10^4-10^5-unknown regime: each rung reports the transient
 // wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA pencil.
 #include "bench_common.hpp"
 
@@ -32,22 +28,19 @@ namespace {
 
 using namespace cnti;
 
-circuit::BusConfig bus_config(int lines, int segments,
-                              circuit::SolverKind solver) {
+circuit::BusConfig bus_config(int lines, int segments) {
   circuit::BusConfig cfg;
   cfg.line = core::make_paper_mwcnt(10, 4.0, 20e3).rlc();
   cfg.coupling_cap_per_m = 30e-12;
   cfg.length_m = 100e-6;
   cfg.lines = lines;
   cfg.segments = segments;
-  cfg.mna.solver = solver;
   return cfg;
 }
 
-double timed_bus_seconds(int lines, int segments,
-                         circuit::SolverKind solver, int steps,
+double timed_bus_seconds(int lines, int segments, int steps,
                          circuit::BusCrosstalkResult* result = nullptr) {
-  const circuit::BusConfig cfg = bus_config(lines, segments, solver);
+  const circuit::BusConfig cfg = bus_config(lines, segments);
   const auto t0 = std::chrono::steady_clock::now();
   const circuit::BusCrosstalkResult r =
       circuit::analyze_bus_crosstalk(cfg, steps);
@@ -63,90 +56,60 @@ double factorization_count() {
       obs::counter("cnti.solver.refactorizations").value());
 }
 
+double solve_count() {
+  return static_cast<double>(obs::counter("cnti.solver.solves").value());
+}
+
 void print_reproduction() {
   bench::json().set_name("bench_mna_scaling");
   bench::print_header(
-      "MNA backend scaling — dense vs sparse LU on coupled CNT buses",
-      "Identical short transients (DC + 20 timesteps, trapezoidal) through "
-      "both linear backends. The sparse path freezes the CSR pattern on "
-      "the first assembly and refactorizes with a reused symbolic "
-      "analysis; acceptance floor is >= 10x at >= 2000 unknowns.");
+      "MNA engine scaling — sparse LU on coupled CNT buses",
+      "A 1000-step transient on the 16 x 128 paper bus with its LU "
+      "factorization and solve counts, then a size ladder (DC + 20 "
+      "trapezoidal steps) with the AMD-vs-natural factor fill of each "
+      "rung's MNA pencil.");
 
-  // Small-to-large sweep at matched step counts. The 20-step window keeps
-  // the dense O(n^3) reference affordable at the big sizes.
+  // The call's counts are deterministic: DC and the trapezoidal companion
+  // matrix are the only distinct matrices, and every step takes one solve.
+  circuit::BusCrosstalkResult full;
+  const double factorizations_before = factorization_count();
+  const double solves_before = solve_count();
+  const double tfull = timed_bus_seconds(16, 128, 1000, &full);
+  const double factorizations = factorization_count() - factorizations_before;
+  const double solves = solve_count() - solves_before;
+  std::cout << "\nFull 1000-step transient, 16 x 128 bus ("
+            << full.unknowns << " unknowns): " << Table::num(tfull, 4)
+            << " s, " << static_cast<long long>(factorizations)
+            << " LU factorizations, " << static_cast<long long>(solves)
+            << " solves, worst victim line " << full.worst_victim
+            << ", noise " << Table::num(full.peak_noise_v * 1e3, 4)
+            << " mV\n";
+  bench::json().set("unknowns", full.unknowns);
+  bench::json().set("bus_transient_s_16x128", tfull);
+  bench::json().set("bus_factorizations_16x128", factorizations);
+  bench::json().set("bus_solves_16x128", solves);
+  bench::json().set("full_noise_mv", full.peak_noise_v * 1e3);
+
+  // --- Size ladder into the 10^4-10^5 regime -----------------------------
+  // Each rung reports the AMD-vs-natural factor fill of its shifted MNA
+  // pencil G + s C alongside the transient wall-clock.
   constexpr int kSteps = 20;
-  Table t({"lines x segs", "unknowns", "dense [s]", "sparse [s]",
-           "speedup", "noise agree"});
   struct Case {
     int lines;
     int segments;
   };
-  for (const Case c : {Case{4, 16}, Case{8, 32}, Case{8, 64},
-                       Case{16, 128}}) {
-    circuit::BusCrosstalkResult rd, rs;
-    const double td = timed_bus_seconds(c.lines, c.segments,
-                                        circuit::SolverKind::kDense, kSteps,
-                                        &rd);
-    const double ts = timed_bus_seconds(c.lines, c.segments,
-                                        circuit::SolverKind::kSparse, kSteps,
-                                        &rs);
-    const double dv = std::abs(rd.peak_noise_v - rs.peak_noise_v);
-    t.add_row({std::to_string(c.lines) + " x " + std::to_string(c.segments),
-               std::to_string(rd.unknowns), Table::num(td, 4),
-               Table::num(ts, 4), Table::num(td / ts, 4),
-               dv < 1e-8 ? "yes" : "NO"});
-    // Trajectory metrics for the acceptance case (the 2000-unknown bus).
-    if (c.lines == 16 && c.segments == 128) {
-      bench::json().set("unknowns", rd.unknowns);
-      bench::json().set("dense_s", td);
-      bench::json().set("sparse_s", ts);
-      bench::json().set("speedup", td / ts);
-      bench::json().set("noise_abs_diff_v", dv);
-    }
-  }
-  t.print(std::cout);
-
-  // What the sparse engine unlocks: a full-length transient on the
-  // 2000+-unknown bus, which the dense path cannot touch interactively.
-  // The call's factorization count is deterministic: DC (one matrix per
-  // g_min stage) plus one trapezoidal companion matrix.
-  circuit::BusCrosstalkResult full;
-  const double factorizations_before = factorization_count();
-  const double tfull = timed_bus_seconds(16, 128,
-                                         circuit::SolverKind::kSparse, 1000,
-                                         &full);
-  const double factorizations = factorization_count() - factorizations_before;
-  std::cout << "\nFull 1000-step transient, 16 x 128 bus ("
-            << full.unknowns << " unknowns, sparse): "
-            << Table::num(tfull, 4) << " s, "
-            << static_cast<long long>(factorizations)
-            << " LU factorizations, worst victim line " << full.worst_victim
-            << ", noise " << Table::num(full.peak_noise_v * 1e3, 4)
-            << " mV\n";
-  bench::json().set("bus_transient_s_16x128", tfull);
-  bench::json().set("bus_factorizations_16x128", factorizations);
-  bench::json().set("full_noise_mv", full.peak_noise_v * 1e3);
-
-  // --- Sparse-only size ladder into the 10^4-10^5 regime -----------------
-  // No dense reference above 16 x 128 (an O(n^3) factorization per step
-  // would take hours); instead each rung reports the AMD-vs-natural factor
-  // fill of its shifted MNA pencil G + s C alongside the kAmd transient
-  // wall-clock.
-  std::cout << "\nSparse size ladder (kAmd default ordering, DC + "
-            << kSteps << " steps):\n";
+  std::cout << "\nSize ladder (AMD ordering, DC + " << kSteps
+            << " steps):\n";
   Table ladder({"lines x segs", "unknowns", "transient [s]", "nnz(L+U) nat",
                 "nnz(L+U) amd", "fill ratio"});
   int max_unknowns = 0;
   for (const Case c : {Case{16, 128}, Case{24, 256}, Case{32, 400},
                        Case{32, 640}, Case{64, 1024}}) {
     circuit::BusCrosstalkResult r;
-    const double ts = timed_bus_seconds(c.lines, c.segments,
-                                        circuit::SolverKind::kSparse, kSteps,
-                                        &r);
+    const double ts = timed_bus_seconds(c.lines, c.segments, kSteps, &r);
     // Factor fill of the bare-bus shifted pencil at the analysis corner
     // (the same pattern the transient's companion matrices share).
-    circuit::BusConfig cfg = bus_config(c.lines, c.segments,
-                                        circuit::SolverKind::kSparse);
+    const circuit::BusConfig cfg = bus_config(c.lines, c.segments);
     // One dummy port satisfies the extractor's inputs>0 contract; G and C
     // are independent of the port list.
     const rom::StateSpace ss = rom::extract_state_space(
@@ -193,8 +156,7 @@ void print_reproduction() {
 void BM_SparseBusTransient(benchmark::State& state) {
   const int lines = static_cast<int>(state.range(0));
   const int segments = static_cast<int>(state.range(1));
-  const circuit::BusConfig cfg =
-      bus_config(lines, segments, circuit::SolverKind::kSparse);
+  const circuit::BusConfig cfg = bus_config(lines, segments);
   for (auto _ : state) {
     benchmark::DoNotOptimize(circuit::analyze_bus_crosstalk(cfg, 50));
   }
@@ -204,17 +166,6 @@ BENCHMARK(BM_SparseBusTransient)
     ->Args({8, 64})
     ->Args({16, 128})
     ->Unit(benchmark::kMillisecond);
-
-void BM_DenseBusTransient(benchmark::State& state) {
-  const int lines = static_cast<int>(state.range(0));
-  const int segments = static_cast<int>(state.range(1));
-  const circuit::BusConfig cfg =
-      bus_config(lines, segments, circuit::SolverKind::kDense);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(circuit::analyze_bus_crosstalk(cfg, 50));
-  }
-}
-BENCHMARK(BM_DenseBusTransient)->Args({4, 16})->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -79,9 +79,9 @@ int main() {
 
   // --- Wide coupled bus (sparse MNA engine). -----------------------------
   // 16 parallel 100 um lines, nearest-neighbour coupled, 128 segments each:
-  // ~2100 MNA unknowns. The dense O(n^3) path needs minutes per handful of
-  // timesteps here; the sparse backend's pattern-frozen refactorization
-  // runs the full transient in about a second.
+  // ~2100 MNA unknowns. A dense O(n^3) LU would need minutes per handful of
+  // timesteps here; the sparse engine factors the linear bus once and
+  // back-substitutes every step.
   std::cout << "\n4) 16-line coupled bus, centre aggressor (sparse MNA):\n";
   Table bus({"bus", "unknowns", "worst victim", "noise pristine [mV]",
              "noise doped [mV]"});
@@ -92,7 +92,7 @@ int main() {
       cfg.coupling_cap_per_m = 30e-12;
       cfg.length_m = 100e-6;
       cfg.lines = 16;
-      cfg.segments = 128;  // kAuto routes this to the sparse backend
+      cfg.segments = 128;
       const auto r = circuit::analyze_bus_crosstalk(cfg, 600);
       *unknowns = r.unknowns;
       *victim = r.worst_victim;

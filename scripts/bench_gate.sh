@@ -4,33 +4,38 @@
 # Parses the flat JSON metric sink written by bench_mna_scaling (see
 # common/json_sink.hpp; produced when CNTI_BENCH_JSON is set) and fails
 # when the 1000-step transient on the 16 x 128 paper bus runs more sparse
-# LU factorizations than the ceiling.
+# LU factorizations or solves than the ceilings.
 #
-# The bus is linear, so its matrices are the four DC g_min stages plus one
-# trapezoidal companion matrix (assembled once in recording order and then
-# in stamp order, so up to two bit patterns): 6 distinct matrices. The
-# sparse backend factors each distinct matrix once, so the count is
-# deterministic and the gate does not depend on machine noise. An engine
-# that refactors on every solve runs about 2,000 here.
+# The bus is linear, so DC solves its g_min = 0 system directly on the
+# transient's backend: the distinct matrices are the DC matrix and the
+# trapezoidal companion matrix, 2 factorizations. Each of the 1,000 steps
+# takes one solve and DC one more, 1,001 solves. Both counts are
+# deterministic, so the gate does not depend on machine noise. An engine
+# that refactors on every solve runs about 2,000 factorizations here; one
+# that iterates Newton twice per linear step runs about 2,000 solves.
 #
 # Usage: bench_gate.sh BENCH_bench_mna_scaling.json
 set -eu
 
 json="${1:?usage: bench_gate.sh BENCH_bench_mna_scaling.json}"
-ceiling=6
 
 [ -f "$json" ] || { echo "bench JSON not found: $json"; exit 1; }
 
-count="$(sed -n \
-  's/.*"bus_factorizations_16x128": *\([0-9.eE+-]*\).*/\1/p' \
-  "$json" | head -1)"
-[ -n "$count" ] || {
-  echo "bus_factorizations_16x128 missing from $json"
-  exit 1
+# gate METRIC CEILING WHAT: the metric must be in 1..CEILING.
+gate() {
+  value="$(sed -n \
+    "s/.*\"$1\": *\([0-9.eE+-]*\).*/\1/p" \
+    "$json" | head -1)"
+  [ -n "$value" ] || {
+    echo "$1 missing from $json"
+    exit 1
+  }
+  awk -v c="$value" -v m="$2" 'BEGIN { exit !(c >= 1 && c <= m) }' || {
+    echo "16x128 bus transient ran ${value} $3 (allowed 1..$2)"
+    exit 1
+  }
+  echo "16x128 bus transient ran ${value} $3 <= $2 OK"
 }
 
-awk -v c="$count" -v m="$ceiling" 'BEGIN { exit !(c >= 1 && c <= m) }' || {
-  echo "16x128 bus transient ran ${count} LU factorizations (allowed 1..${ceiling})"
-  exit 1
-}
-echo "16x128 bus transient ran ${count} LU factorizations <= ${ceiling} OK"
+gate bus_factorizations_16x128 2 "LU factorizations"
+gate bus_solves_16x128 1001 "LU solves"

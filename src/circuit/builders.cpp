@@ -116,7 +116,6 @@ double measure_fig11_delay(const Fig11Options& opt, int time_steps) {
   TransientOptions topt;
   topt.t_stop_s = bench.pulse_period_s;
   topt.dt_s = topt.t_stop_s / time_steps;
-  topt.mna = opt.mna;
   const TransientResult res = simulate_transient(bench.ckt, topt);
   const double v_mid = bench.vdd_v / 2.0;
   // Second input edge (falling) happens after delay + width.

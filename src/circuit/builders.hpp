@@ -67,7 +67,6 @@ struct Fig11Options {
   Technology45nm tech;
   /// Pulse timing; <= 0 means auto-scale to the line's RC time constant.
   double pulse_width_s = -1.0;
-  MnaOptions mna{};  ///< Linear backend routing for the delay transient.
 };
 
 Fig11Circuit build_fig11_benchmark(const Fig11Options& opt);

@@ -25,16 +25,6 @@ double settle_time_s(double r_total_ohm, double c_total_f,
   return std::max(20.0 * edge_time_s, 12.0 * r_total_ohm * c_total_f);
 }
 
-TransientOptions settle_window(double r_total_ohm, double c_total_f,
-                               double edge_time_s, int time_steps,
-                               const MnaOptions& mna) {
-  TransientOptions opt;
-  opt.t_stop_s = settle_time_s(r_total_ohm, c_total_f, edge_time_s);
-  opt.dt_s = opt.t_stop_s / time_steps;
-  opt.mna = mna;
-  return opt;
-}
-
 /// first_crossing_time returns -1 when the level is never reached inside
 /// the window. A negative "delay" silently poisons downstream statistics
 /// (Monte Carlo summaries, CSV reports), so the crosstalk result paths all
@@ -80,7 +70,6 @@ BusConfig make_bus_config(const BusTopology& topology, const BusDrive& drive) {
   cfg.vdd_v = drive.vdd_v;
   cfg.edge_time_s = drive.edge_time_s;
   cfg.receiver_load_f = drive.receiver_load_f;
-  cfg.mna = drive.mna;
   return cfg;
 }
 
@@ -103,13 +92,13 @@ double bus_settle_time_s(const BusConfig& cfg) {
   return bus_settle_time_s(cfg.topology(), cfg.drive());
 }
 
-CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
-                                  int time_steps) {
+CrosstalkNetlist build_crosstalk_netlist(const CrosstalkConfig& cfg) {
   CNTI_EXPECTS(cfg.segments >= 2, "need at least two segments");
   CNTI_EXPECTS(cfg.length_m > 0, "length must be positive");
   CNTI_EXPECTS(cfg.coupling_cap_per_m >= 0, "coupling must be >= 0");
 
-  Circuit ckt;
+  CrosstalkNetlist out;
+  Circuit& ckt = out.ckt;
   const NodeId agg_in = ckt.node("agg_in");
   const NodeId vic_far = ckt.node("vic_far");
   const NodeId agg_far = ckt.node("agg_far");
@@ -167,18 +156,27 @@ CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
   // Receiver loads.
   ckt.add_capacitor("clv", vic_far, 0, kReceiverLoadF);
   ckt.add_capacitor("cla", agg_far, 0, kReceiverLoadF);
+  out.victim_far = vic_far;
+  out.aggressor_far = agg_far;
+  return out;
+}
 
-  const TransientOptions opt = settle_window(
+CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
+                                  int time_steps) {
+  const CrosstalkNetlist pair = build_crosstalk_netlist(cfg);
+  TransientOptions opt;
+  opt.t_stop_s = settle_time_s(
       cfg.aggressor_driver_ohm + cfg.aggressor.series_resistance_ohm +
           cfg.aggressor.resistance_per_m * cfg.length_m,
       (cfg.aggressor.capacitance_per_m + cfg.coupling_cap_per_m) *
           cfg.length_m,
-      cfg.edge_time_s, time_steps, cfg.mna);
-  const TransientResult res = simulate_transient(ckt, opt);
+      cfg.edge_time_s);
+  opt.dt_s = opt.t_stop_s / time_steps;
+  const TransientResult res = simulate_transient(pair.ckt, opt);
 
   CrosstalkResult out;
   const auto& t = res.time();
-  const auto& vn = res.voltage(vic_far);
+  const auto& vn = res.voltage(pair.victim_far);
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
       out.peak_noise_v = vn[i];
@@ -186,7 +184,7 @@ CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
     }
   }
   out.aggressor_delay_s = delay_or_nan(numerics::first_crossing_time(
-      t, res.voltage(agg_far), cfg.vdd_v / 2.0, /*rising=*/true));
+      t, res.voltage(pair.aggressor_far), cfg.vdd_v / 2.0, /*rising=*/true));
   return out;
 }
 
@@ -303,7 +301,6 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
   TransientOptions opt;
   opt.t_stop_s = bus_settle_time_s(topology, drive);
   opt.dt_s = opt.t_stop_s / time_steps;
-  opt.mna = drive.mna;
   const TransientResult res = simulate_transient(ckt, opt);
 
   BusCrosstalkResult out;

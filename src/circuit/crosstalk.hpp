@@ -25,7 +25,6 @@ struct CrosstalkConfig {
   double aggressor_driver_ohm = 5e3;
   double vdd_v = 1.0;
   double edge_time_s = 20e-12;
-  MnaOptions mna{};  ///< Linear backend routing for the transient.
 };
 
 struct CrosstalkResult {
@@ -39,6 +38,16 @@ struct CrosstalkResult {
 /// Builds the coupled ladder, runs the MNA transient, measures the noise.
 CrosstalkResult analyze_crosstalk(const CrosstalkConfig& config,
                                   int time_steps = 2500);
+
+/// The circuit analyze_crosstalk simulates: both ladders with their
+/// drivers, the aggressor's edge source and the receiver loads.
+struct CrosstalkNetlist {
+  Circuit ckt;
+  NodeId victim_far = 0;
+  NodeId aggressor_far = 0;
+};
+
+CrosstalkNetlist build_crosstalk_netlist(const CrosstalkConfig& config);
 
 /// Wide coupled bus: `lines` identical RC lines side by side, coupled
 /// nearest-neighbour segment-by-segment, one aggressor switching while
@@ -66,7 +75,6 @@ struct BusDrive {
   double vdd_v = 1.0;
   double edge_time_s = 20e-12;
   double receiver_load_f = 0.2e-15;     ///< Input load at every far end.
-  MnaOptions mna{};                     ///< Backend routing (kAuto -> sparse).
 };
 
 /// Flat topology + drive bundle (the historical single-shot interface).
@@ -81,13 +89,12 @@ struct BusConfig {
   double vdd_v = 1.0;
   double edge_time_s = 20e-12;
   double receiver_load_f = 0.2e-15;     ///< Input load at every far end.
-  MnaOptions mna{};                     ///< Backend routing (kAuto -> sparse).
 
   BusTopology topology() const {
     return {line, coupling_cap_per_m, length_m, lines, segments};
   }
   BusDrive drive() const {
-    return {aggressor, driver_ohm, vdd_v, edge_time_s, receiver_load_f, mna};
+    return {aggressor, driver_ohm, vdd_v, edge_time_s, receiver_load_f};
   }
 };
 

@@ -30,7 +30,7 @@ double DcSweepResult::input_at_output(double level) const {
 
 DcSweepResult dc_sweep(Circuit ckt, const std::string& source_name,
                        double v_start, double v_stop, int points,
-                       NodeId observe, const MnaOptions& mna) {
+                       NodeId observe) {
   CNTI_EXPECTS(points >= 2, "need at least two sweep points");
   // Locate the source; the netlist is copied so we can mutate its wave.
   // (Circuit stores sources by value; we rebuild the wave per step.)
@@ -49,7 +49,7 @@ DcSweepResult dc_sweep(Circuit ckt, const std::string& source_name,
   // One solver for the whole sweep: only the source value changes per
   // point, so the sparse backend's pattern and symbolic analysis are
   // computed at the first point and reused for the rest.
-  DcSolver solver(ckt, mna);
+  DcSolver solver(ckt);
   for (int i = 0; i < points; ++i) {
     const double v =
         v_start + (v_stop - v_start) * i / (points - 1);

@@ -24,10 +24,9 @@ struct DcSweepResult {
 
 /// Sweeps the named DC source from v_start to v_stop in `points` steps and
 /// records the voltage of `observe`. The source must exist and be a
-/// DcWave (sweeping a pulse source would be ambiguous). `mna` routes every
-/// operating-point solve to the dense or sparse backend.
+/// DcWave (sweeping a pulse source would be ambiguous).
 DcSweepResult dc_sweep(Circuit ckt, const std::string& source_name,
                        double v_start, double v_stop, int points,
-                       NodeId observe, const MnaOptions& mna = {});
+                       NodeId observe);
 
 }  // namespace cnti::circuit

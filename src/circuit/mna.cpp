@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <optional>
 
 #include "numerics/ordering.hpp"
 #include "numerics/sparse.hpp"
@@ -98,8 +97,15 @@ struct Layout {
   static int nv(NodeId n) { return n - 1; }
 };
 
-/// Dense linear backend: stamps into a MatrixD and factorizes from scratch
-/// on every solve (the historical engine; kept as the sparse path's oracle).
+/// Newton limits. DC iterates to a tighter update norm than a transient
+/// step, whose initial guess is already the previous step's solution.
+constexpr int kDcMaxNewton = 200;
+constexpr double kDcNewtonTolerance = 1e-12;
+constexpr int kTransientMaxNewton = 100;
+constexpr double kTransientNewtonTolerance = 1e-9;
+
+/// Dense backend of the reference oracle: stamps into a MatrixD and
+/// factorizes from scratch on every solve.
 class DenseBackend {
  public:
   explicit DenseBackend(int size) : n_(static_cast<std::size_t>(size)) {}
@@ -119,26 +125,23 @@ class DenseBackend {
   MatrixD a_;
 };
 
-/// Sparse linear backend: the stamp stream freezes a CSR pattern on the
-/// first assembly (stamp-slot replay afterwards) and the SparseLu reuses
-/// its symbolic analysis across every subsequent factorization. With
-/// OrderingKind::kAmd an approximate-minimum-degree column pre-permutation
-/// is computed from the frozen pattern before the first factorization —
-/// once per topology, like the symbolic analysis it feeds.
+/// The engine's backend: the stamp stream freezes a CSR pattern on the
+/// first assembly (stamp-slot replay afterwards), an approximate-minimum-
+/// degree column pre-permutation is computed from that pattern before the
+/// first factorization, and the SparseLu reuses its symbolic analysis
+/// across every later factorization — all once per topology.
 ///
 /// Factor once per distinct matrix: solve() refactorizes only when the
 /// assembled values differ bitwise from the values last factored. A linear
-/// circuit at a fixed timestep (every Newton iteration and step of a bus
-/// transient) therefore only back-substitutes once its companion matrix is
-/// factored; since a replay of identical values reproduces the stored
-/// factors bit for bit, the skip never changes a result. The comparison is
-/// on bits, not operator==, so a -0.0 <-> +0.0 flip or a value turning NaN
-/// still refactors.
+/// circuit at a fixed timestep therefore only back-substitutes once its
+/// companion matrix is factored; since a replay of identical values
+/// reproduces the stored factors bit for bit, the skip never changes a
+/// result. The comparison is on bits, not operator==, so a -0.0 <-> +0.0
+/// flip or a value turning NaN still refactors.
 class SparseBackend {
  public:
-  explicit SparseBackend(int size,
-                         OrderingKind ordering = OrderingKind::kAmd)
-      : assembler_(static_cast<std::size_t>(size)), ordering_(ordering) {}
+  explicit SparseBackend(int size)
+      : assembler_(static_cast<std::size_t>(size)) {}
 
   void begin() { assembler_.begin(); }
   void add(int r, int c, double v) {
@@ -149,7 +152,7 @@ class SparseBackend {
 
   std::vector<double> solve(const std::vector<double>& b) {
     const numerics::SparseMatrix& a = assembler_.matrix();
-    if (ordering_ == OrderingKind::kAmd && !ordered_) {
+    if (!ordered_) {
       // The pattern is frozen by the first end(); the stamp stream cannot
       // diverge afterwards, so the ordering holds for the backend's life.
       lu_.set_column_ordering(numerics::amd_ordering(a));
@@ -172,7 +175,6 @@ class SparseBackend {
  private:
   CsrAssembler assembler_;
   SparseLu lu_;
-  OrderingKind ordering_;
   bool ordered_ = false;
   std::vector<double> factored_values_;  ///< Values lu_ last factored.
 };
@@ -198,33 +200,24 @@ void stamp_rhs(std::vector<double>& b, int row, double v) {
   if (row >= 0) b[static_cast<std::size_t>(row)] += v;
 }
 
-/// Resolves kAuto against the system size.
-bool use_sparse(const MnaOptions& mna, int size) {
-  switch (mna.solver) {
-    case SolverKind::kDense:
-      return false;
-    case SolverKind::kSparse:
-      return true;
-    case SolverKind::kAuto:
-      return size >= mna.sparse_threshold;
-  }
-  return false;
-}
-
-/// Shared nonlinear-system assembly for DC and one transient step.
+/// Shared nonlinear-system assembly and Newton for DC and the transient
+/// steps, generic over the linear backend. The reactive elements stamp
+/// their trapezoidal companions; in DC mode (before begin_transient()) the
+/// same slots are stamped with zeros — capacitors open, inductors 0 V
+/// branches — so DC and every transient step assemble one pattern.
 class Assembler {
  public:
-  Assembler(const Circuit& ckt, const Layout& layout)
-      : ckt_(ckt), layout_(layout) {}
+  explicit Assembler(const Circuit& ckt)
+      : ckt_(ckt), layout_(ckt), linear_(ckt.mosfets().empty()) {}
+
+  const Layout& layout() const { return layout_; }
 
   /// Assemble Jacobian and rhs at candidate solution x into `backend`.
-  /// `companion` adds reactive-element companion stamps (transient only).
   /// The stamp stream below is a fixed sequence for a fixed circuit — the
   /// sparse backend's pattern-frozen replay depends on that.
-  template <typename Backend, typename CompanionFn>
+  template <typename Backend>
   void assemble(const std::vector<double>& x, double time_s, double gmin,
-                Backend& a, std::vector<double>& b,
-                const CompanionFn& companion) const {
+                Backend& a, std::vector<double>& b) const {
     a.begin();
     b.assign(static_cast<std::size_t>(layout_.size), 0.0);
 
@@ -268,7 +261,28 @@ class Assembler {
       stamp_rhs(b, rd, -i0);
       stamp_rhs(b, rs, i0);
     }
-    companion(a, b);
+    const bool dc = dt_ == 0.0;
+    for (std::size_t k = 0; k < ckt_.capacitors().size(); ++k) {
+      const auto& c = ckt_.capacitors()[k];
+      const double geq = dc ? 0.0 : 2.0 * c.farads / dt_;
+      const double ieq = dc ? 0.0 : geq * cap_v_prev_[k] + cap_i_prev_[k];
+      stamp_g(a, c.a, c.b, geq);
+      stamp_rhs(b, Layout::nv(c.a), ieq);
+      stamp_rhs(b, Layout::nv(c.b), -ieq);
+    }
+    for (std::size_t k = 0; k < ckt_.inductors().size(); ++k) {
+      const auto& l = ckt_.inductors()[k];
+      const int br = layout_.ind_offset + static_cast<int>(k);
+      const double req = dc ? 0.0 : 2.0 * l.henries / dt_;
+      const double veq = dc ? 0.0 : -req * ind_i_prev_[k] - ind_v_prev_[k];
+      // Branch row: v_a - v_b - req * i = veq.
+      stamp_entry(a, Layout::nv(l.a), br, 1.0);
+      stamp_entry(a, Layout::nv(l.b), br, -1.0);
+      stamp_entry(a, br, Layout::nv(l.a), 1.0);
+      stamp_entry(a, br, Layout::nv(l.b), -1.0);
+      stamp_entry(a, br, br, -req);
+      stamp_rhs(b, br, veq);
+    }
     a.end();
   }
 
@@ -278,22 +292,24 @@ class Assembler {
 
   /// Newton iteration until the update norm drops below tolerance. The
   /// backend persists across iterations (and across calls for one
-  /// simulation), so symbolic reuse carries over timesteps.
-  template <typename Backend, typename CompanionFn>
+  /// simulation), so symbolic reuse carries over timesteps. A circuit
+  /// without MOSFETs assembles the same A and b at every x, so its second
+  /// iteration would reproduce the first solution bit for bit: it stops
+  /// after one solve.
+  template <typename Backend>
   std::vector<double> newton(Backend& backend, std::vector<double> x,
                              double time_s, double gmin, int max_iter,
-                             double tol, const CompanionFn& companion,
-                             int* iterations_out = nullptr) const {
+                             double tol, int* iterations_out = nullptr) const {
     std::vector<double> b;
     for (int it = 0; it < max_iter; ++it) {
-      assemble(x, time_s, gmin, backend, b, companion);
-      const std::vector<double> x_new = backend.solve(b);
+      assemble(x, time_s, gmin, backend, b);
+      std::vector<double> x_new = backend.solve(b);
       double delta = 0.0;
       for (std::size_t i = 0; i < x.size(); ++i) {
         delta = std::max(delta, std::abs(x_new[i] - x[i]));
       }
-      x = x_new;
-      if (delta < tol) {
+      x = std::move(x_new);
+      if (linear_ || delta < tol) {
         if (iterations_out) *iterations_out = it + 1;
         return x;
       }
@@ -301,120 +317,105 @@ class Assembler {
     throw NumericalError("MNA Newton iteration did not converge");
   }
 
+  /// DC operating point at `time_s` (DC mode only). MOSFET circuits step
+  /// g_min down from a strong shunt, each stage seeding the next; a linear
+  /// circuit's solution does not depend on the seed, so it runs only the
+  /// final g_min = 0 stage.
+  template <typename Backend>
+  std::vector<double> dc(Backend& backend, double time_s,
+                         int* iterations_out) const {
+    std::vector<double> x(static_cast<std::size_t>(layout_.size), 0.0);
+    int total = 0;
+    for (const double gmin : {1e-3, 1e-6, 1e-9, 0.0}) {
+      if (linear_ && gmin != 0.0) continue;
+      int iters = 0;
+      x = newton(backend, std::move(x), time_s, gmin, kDcMaxNewton,
+                 kDcNewtonTolerance, &iters);
+      total += iters;
+    }
+    if (iterations_out) *iterations_out = total;
+    return x;
+  }
+
+  /// Leaves DC mode: trapezoidal companions at step dt, with the reactive
+  /// history taken from the DC operating point x (capacitor currents and
+  /// inductor voltages are zero in steady state).
+  void begin_transient(double dt, const std::vector<double>& x) {
+    dt_ = dt;
+    cap_v_prev_.resize(ckt_.capacitors().size());
+    cap_i_prev_.assign(ckt_.capacitors().size(), 0.0);
+    ind_i_prev_.resize(ckt_.inductors().size());
+    ind_v_prev_.assign(ckt_.inductors().size(), 0.0);
+    for (std::size_t k = 0; k < ckt_.capacitors().size(); ++k) {
+      const auto& c = ckt_.capacitors()[k];
+      cap_v_prev_[k] = voltage(x, c.a) - voltage(x, c.b);
+    }
+    for (std::size_t k = 0; k < ckt_.inductors().size(); ++k) {
+      ind_i_prev_[k] = x[static_cast<std::size_t>(layout_.ind_offset) + k];
+    }
+  }
+
+  /// Advances the reactive history to the accepted step solution x.
+  void accept_step(const std::vector<double>& x) {
+    for (std::size_t k = 0; k < ckt_.capacitors().size(); ++k) {
+      const auto& c = ckt_.capacitors()[k];
+      const double v = voltage(x, c.a) - voltage(x, c.b);
+      const double geq = 2.0 * c.farads / dt_;
+      cap_i_prev_[k] = geq * (v - cap_v_prev_[k]) - cap_i_prev_[k];
+      cap_v_prev_[k] = v;
+    }
+    for (std::size_t k = 0; k < ckt_.inductors().size(); ++k) {
+      const auto& l = ckt_.inductors()[k];
+      ind_i_prev_[k] = x[static_cast<std::size_t>(layout_.ind_offset) + k];
+      ind_v_prev_[k] = voltage(x, l.a) - voltage(x, l.b);
+    }
+  }
+
  private:
   const Circuit& ckt_;
-  const Layout& layout_;
+  Layout layout_;
+  bool linear_;
+  double dt_ = 0.0;  ///< 0 in DC mode.
+  // Reactive-element history of the last accepted step.
+  std::vector<double> cap_v_prev_, cap_i_prev_;
+  std::vector<double> ind_i_prev_, ind_v_prev_;
 };
 
 template <typename Backend>
-DcResult solve_dc_with(Backend& backend, const Circuit& ckt,
-                       const Layout& layout, double time_s) {
-  const Assembler assembler(ckt, layout);
-
-  // DC: capacitors open; inductors are 0 V branches so their currents are
-  // well-defined. Stamp inductors like voltage sources with value 0.
-  const auto companion = [&](auto& a, std::vector<double>& b) {
-    (void)b;
-    for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-      const auto& l = ckt.inductors()[k];
-      const int br = layout.ind_offset + static_cast<int>(k);
-      stamp_entry(a, Layout::nv(l.a), br, 1.0);
-      stamp_entry(a, Layout::nv(l.b), br, -1.0);
-      stamp_entry(a, br, Layout::nv(l.a), 1.0);
-      stamp_entry(a, br, Layout::nv(l.b), -1.0);
-    }
-  };
-
-  // g_min stepping: solve with a strong shunt first, then relax. The
-  // previous solution seeds the next Newton run.
-  std::vector<double> x(static_cast<std::size_t>(layout.size), 0.0);
-  int total_iters = 0;
-  for (const double gmin : {1e-3, 1e-6, 1e-9, 0.0}) {
-    int iters = 0;
-    x = assembler.newton(backend, std::move(x), time_s, gmin, 200, 1e-12,
-                         companion, &iters);
-    total_iters += iters;
-  }
-
+DcResult solve_dc_with(const Assembler& assembler, Backend& backend,
+                       double time_s) {
+  const Layout& layout = assembler.layout();
   DcResult out;
-  out.newton_iterations = total_iters;
+  const std::vector<double> x =
+      assembler.dc(backend, time_s, &out.newton_iterations);
   out.node_voltages.assign(static_cast<std::size_t>(layout.nodes) + 1, 0.0);
   for (int n = 1; n <= layout.nodes; ++n) {
     out.node_voltages[static_cast<std::size_t>(n)] =
         x[static_cast<std::size_t>(n - 1)];
   }
-  for (std::size_t k = 0; k < ckt.vsources().size(); ++k) {
-    out.vsource_currents.push_back(
-        x[static_cast<std::size_t>(layout.vsrc_offset) + k]);
-  }
-  for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-    out.inductor_currents.push_back(
-        x[static_cast<std::size_t>(layout.ind_offset) + k]);
-  }
+  out.vsource_currents.assign(x.begin() + layout.vsrc_offset,
+                              x.begin() + layout.ind_offset);
+  out.inductor_currents.assign(x.begin() + layout.ind_offset, x.end());
   return out;
 }
 
 template <typename Backend>
-TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
-                                        const Layout& layout,
+TransientResult simulate_transient_with(const Circuit& ckt,
                                         const TransientOptions& opt) {
-  const Assembler assembler(ckt, layout);
+  CNTI_EXPECTS(std::isfinite(opt.t_stop_s) && opt.t_stop_s > 0,
+               "transient: t_stop_s must be finite and > 0");
+  CNTI_EXPECTS(std::isfinite(opt.dt_s) && opt.dt_s > 0 &&
+                   opt.dt_s < opt.t_stop_s,
+               "transient: dt_s must be finite, > 0 and below t_stop_s");
+  Assembler assembler(ckt);
+  const Layout& layout = assembler.layout();
   const double dt = opt.dt_s;
-  const bool trap = opt.integrator == Integrator::kTrapezoidal;
 
-  // Initial condition: DC operating point at t = 0 (its companion pattern
-  // differs from the transient one, so it runs on its own backend).
-  const DcResult dc = solve_dc(ckt, 0.0, opt.mna);
-  std::vector<double> x(static_cast<std::size_t>(layout.size), 0.0);
-  for (int n = 1; n <= layout.nodes; ++n) {
-    x[static_cast<std::size_t>(n - 1)] =
-        dc.node_voltages[static_cast<std::size_t>(n)];
-  }
-  for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-    x[static_cast<std::size_t>(layout.ind_offset) + k] =
-        dc.inductor_currents[k];
-  }
-
-  // Reactive-element history.
-  std::vector<double> cap_v_prev(ckt.capacitors().size(), 0.0);
-  std::vector<double> cap_i_prev(ckt.capacitors().size(), 0.0);
-  std::vector<double> ind_i_prev(ckt.inductors().size(), 0.0);
-  std::vector<double> ind_v_prev(ckt.inductors().size(), 0.0);
-  for (std::size_t k = 0; k < ckt.capacitors().size(); ++k) {
-    const auto& c = ckt.capacitors()[k];
-    cap_v_prev[k] = Assembler::voltage(x, c.a) - Assembler::voltage(x, c.b);
-    cap_i_prev[k] = 0.0;  // DC steady state
-  }
-  for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-    ind_i_prev[k] = dc.inductor_currents[k];
-    ind_v_prev[k] = 0.0;
-  }
-
-  const auto companion = [&](auto& a, std::vector<double>& b) {
-    for (std::size_t k = 0; k < ckt.capacitors().size(); ++k) {
-      const auto& c = ckt.capacitors()[k];
-      const double geq = (trap ? 2.0 : 1.0) * c.farads / dt;
-      const double ieq =
-          trap ? geq * cap_v_prev[k] + cap_i_prev[k] : geq * cap_v_prev[k];
-      stamp_g(a, c.a, c.b, geq);
-      stamp_rhs(b, Layout::nv(c.a), ieq);
-      stamp_rhs(b, Layout::nv(c.b), -ieq);
-    }
-    for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-      const auto& l = ckt.inductors()[k];
-      const int br = layout.ind_offset + static_cast<int>(k);
-      const double req = (trap ? 2.0 : 1.0) * l.henries / dt;
-      const double veq = trap ? -req * ind_i_prev[k] - ind_v_prev[k]
-                              : -req * ind_i_prev[k];
-      // Branch row: v_a - v_b - req * i = veq.
-      stamp_entry(a, Layout::nv(l.a), br, 1.0);
-      stamp_entry(a, Layout::nv(l.b), br, -1.0);
-      stamp_entry(a, br, Layout::nv(l.a), 1.0);
-      stamp_entry(a, br, Layout::nv(l.b), -1.0);
-      stamp_entry(a, br, br, -req);
-      stamp_rhs(b, br, veq);
-    }
-  };
+  // Initial condition: the DC operating point at t = 0, the first solve on
+  // the backend every step then reuses.
+  Backend backend(layout.size);
+  std::vector<double> x = assembler.dc(backend, 0.0, nullptr);
+  assembler.begin_transient(dt, x);
 
   // Tolerate floating-point slop in t_stop/dt so exact divisions do not
   // gain a spurious extra step.
@@ -435,26 +436,9 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
 
   for (std::size_t step = 1; step < steps; ++step) {
     const double t = static_cast<double>(step) * dt;
-    x = assembler.newton(backend, std::move(x), t, 0.0,
-                         opt.max_newton_iterations, opt.newton_tolerance,
-                         companion);
-    // Update element history.
-    for (std::size_t k = 0; k < ckt.capacitors().size(); ++k) {
-      const auto& c = ckt.capacitors()[k];
-      const double v =
-          Assembler::voltage(x, c.a) - Assembler::voltage(x, c.b);
-      const double geq = (trap ? 2.0 : 1.0) * c.farads / dt;
-      const double i = trap ? geq * (v - cap_v_prev[k]) - cap_i_prev[k]
-                            : geq * (v - cap_v_prev[k]);
-      cap_v_prev[k] = v;
-      cap_i_prev[k] = i;
-    }
-    for (std::size_t k = 0; k < ckt.inductors().size(); ++k) {
-      const auto& l = ckt.inductors()[k];
-      ind_i_prev[k] = x[static_cast<std::size_t>(layout.ind_offset) + k];
-      ind_v_prev[k] =
-          Assembler::voltage(x, l.a) - Assembler::voltage(x, l.b);
-    }
+    x = assembler.newton(backend, std::move(x), t, 0.0, kTransientMaxNewton,
+                         kTransientNewtonTolerance);
+    assembler.accept_step(x);
     record(step, t);
   }
 
@@ -464,50 +448,46 @@ TransientResult simulate_transient_with(Backend& backend, const Circuit& ckt,
 }  // namespace
 
 struct DcSolver::Impl {
-  const Circuit& ckt;
-  Layout layout;
-  // Exactly one backend is engaged; it survives across solve() calls so
-  // the sparse symbolic analysis is paid once per circuit topology.
-  std::optional<DenseBackend> dense;
-  std::optional<SparseBackend> sparse;
+  Assembler assembler;
+  // Survives across solve() calls so the ordering and symbolic analysis
+  // are paid once per circuit topology.
+  SparseBackend backend;
 };
 
-DcSolver::DcSolver(const Circuit& ckt, const MnaOptions& mna)
-    : impl_(std::make_unique<Impl>(Impl{ckt, Layout(ckt), {}, {}})) {
-  if (use_sparse(mna, impl_->layout.size)) {
-    impl_->sparse.emplace(impl_->layout.size, mna.ordering);
-  } else {
-    impl_->dense.emplace(impl_->layout.size);
-  }
-}
+DcSolver::DcSolver(const Circuit& ckt)
+    : impl_(std::make_unique<Impl>(
+          Impl{Assembler(ckt), SparseBackend(Layout(ckt).size)})) {}
 
 DcSolver::~DcSolver() = default;
 DcSolver::DcSolver(DcSolver&&) noexcept = default;
 DcSolver& DcSolver::operator=(DcSolver&&) noexcept = default;
 
 DcResult DcSolver::solve(double time_s) {
-  if (impl_->sparse) {
-    return solve_dc_with(*impl_->sparse, impl_->ckt, impl_->layout, time_s);
-  }
-  return solve_dc_with(*impl_->dense, impl_->ckt, impl_->layout, time_s);
+  return solve_dc_with(impl_->assembler, impl_->backend, time_s);
 }
 
-DcResult solve_dc(const Circuit& ckt, double time_s, const MnaOptions& mna) {
-  return DcSolver(ckt, mna).solve(time_s);
+DcResult solve_dc(const Circuit& ckt, double time_s) {
+  return DcSolver(ckt).solve(time_s);
 }
 
 TransientResult simulate_transient(const Circuit& ckt,
                                    const TransientOptions& opt) {
-  CNTI_EXPECTS(opt.t_stop_s > 0, "t_stop must be positive");
-  CNTI_EXPECTS(opt.dt_s > 0 && opt.dt_s < opt.t_stop_s,
-               "dt must be positive and below t_stop");
-  const Layout layout(ckt);
-  if (use_sparse(opt.mna, layout.size)) {
-    SparseBackend backend(layout.size, opt.mna.ordering);
-    return simulate_transient_with(backend, ckt, layout, opt);
-  }
-  DenseBackend backend(layout.size);
-  return simulate_transient_with(backend, ckt, layout, opt);
+  return simulate_transient_with<SparseBackend>(ckt, opt);
 }
+
+namespace reference {
+
+DcResult solve_dc(const Circuit& ckt, double time_s) {
+  const Assembler assembler(ckt);
+  DenseBackend backend(assembler.layout().size);
+  return solve_dc_with(assembler, backend, time_s);
+}
+
+TransientResult simulate_transient(const Circuit& ckt,
+                                   const TransientOptions& opt) {
+  return simulate_transient_with<DenseBackend>(ckt, opt);
+}
+
+}  // namespace reference
 
 }  // namespace cnti::circuit

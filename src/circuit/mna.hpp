@@ -1,12 +1,13 @@
-// Modified nodal analysis engine: DC operating point (Newton with g_min
-// stepping) and fixed-step transient (backward Euler or trapezoidal, Newton
-// per step). Two linear backends share one stamping path: a dense LU (the
-// historical engine, kept as the differential-test oracle) and a sparse
-// Gilbert–Peierls LU whose fill pattern and pivot order are computed once
-// per circuit topology and refactorized cheaply across Newton iterations
-// and timesteps — and only when the assembled values actually change, so a
-// linear circuit at a fixed timestep factors once. kAuto routes large
-// systems (wide coupled buses, long ladders) to the sparse path; see
+// Modified nodal analysis engine: DC operating point (Newton, with g_min
+// stepping for circuits with MOSFETs) and fixed-step trapezoidal transient
+// (Newton per step). One engine serves every circuit: pattern-frozen CSR
+// stamping into a Gilbert–Peierls sparse LU with an AMD column ordering,
+// refactorized only when the assembled values change. A transient runs its
+// initial DC point on its own backend, and DC stamps the reactive companion
+// slots as zeros, so the whole call shares one pattern, one ordering and
+// one symbolic analysis; a linear circuit at its fixed timestep factors
+// once and back-substitutes every step. `reference::` replays the same
+// stamping and Newton on a dense LU for differential tests. See
 // docs/CIRCUIT_SOLVERS.md.
 #pragma once
 
@@ -19,34 +20,6 @@
 
 namespace cnti::circuit {
 
-/// Linear-solver backend selection for the MNA engine.
-enum class SolverKind {
-  kDense,   ///< Dense partial-pivot LU, O(n^3) per Newton iteration.
-  kSparse,  ///< Pattern-frozen CSR stamping + reusable SparseLu.
-  kAuto,    ///< kSparse above MnaOptions::sparse_threshold unknowns.
-};
-
-/// Fill-reducing column pre-ordering for the sparse backend's LU.
-enum class OrderingKind {
-  kNatural,  ///< Factor in assembly order (segment-major buses are
-             ///< near-banded already).
-  kAmd,      ///< Approximate-minimum-degree pre-permutation of the
-             ///< symmetrized MNA pattern, computed once per topology.
-};
-
-struct MnaOptions {
-  SolverKind solver = SolverKind::kAuto;
-  /// kAuto picks the sparse backend at or above this many MNA unknowns
-  /// (node voltages + source/inductor branch currents). Below it the dense
-  /// engine wins on constant factors.
-  int sparse_threshold = 192;
-  /// Column pre-permutation applied ahead of the sparse LU's symbolic
-  /// analysis. Computed once per frozen pattern, so the Newton/timestep
-  /// refactorization reuse contract is unchanged. Ignored by the dense
-  /// backend.
-  OrderingKind ordering = OrderingKind::kAmd;
-};
-
 /// DC operating point.
 struct DcResult {
   std::vector<double> node_voltages;    ///< [0] = ground = 0.
@@ -55,20 +28,18 @@ struct DcResult {
   int newton_iterations = 0;
 };
 
-DcResult solve_dc(const Circuit& ckt, double time_s = 0.0,
-                  const MnaOptions& mna = {});
+DcResult solve_dc(const Circuit& ckt, double time_s = 0.0);
 
 /// Reusable DC engine for repeated operating-point solves of one circuit
-/// (dc_sweep, corner loops): the linear backend — and with it the sparse
-/// path's frozen stamp pattern and symbolic analysis — persists across
-/// solve() calls. The solver holds a reference: `ckt` must outlive it
-/// (binding a temporary is rejected at compile time). Element *values*
-/// (source waveforms) may change between calls; the circuit's topology
-/// must not.
+/// (dc_sweep, corner loops): the sparse backend — its frozen stamp pattern,
+/// ordering and symbolic analysis — persists across solve() calls. The
+/// solver holds a reference: `ckt` must outlive it (binding a temporary is
+/// rejected at compile time). Element *values* (source waveforms) may
+/// change between calls; the circuit's topology must not.
 class DcSolver {
  public:
-  explicit DcSolver(const Circuit& ckt, const MnaOptions& mna = {});
-  explicit DcSolver(Circuit&& ckt, const MnaOptions& mna = {}) = delete;
+  explicit DcSolver(const Circuit& ckt);
+  explicit DcSolver(Circuit&& ckt) = delete;
   ~DcSolver();
   DcSolver(DcSolver&&) noexcept;
   DcSolver& operator=(DcSolver&&) noexcept;
@@ -80,15 +51,11 @@ class DcSolver {
   std::unique_ptr<Impl> impl_;
 };
 
-enum class Integrator { kBackwardEuler, kTrapezoidal };
-
+/// Trapezoidal transient on a fixed grid: 0, dt, 2 dt, ... up to t_stop.
+/// Both fields must be finite, with 0 < dt_s < t_stop_s.
 struct TransientOptions {
   double t_stop_s = 1e-9;
   double dt_s = 1e-12;
-  Integrator integrator = Integrator::kTrapezoidal;
-  int max_newton_iterations = 100;
-  double newton_tolerance = 1e-9;
-  MnaOptions mna{};  ///< Linear backend routing (applies to the initial DC too).
 };
 
 /// Transient waveforms for every node (indexed by NodeId; ground included
@@ -117,5 +84,16 @@ class TransientResult {
 
 TransientResult simulate_transient(const Circuit& ckt,
                                    const TransientOptions& options);
+
+/// Test oracle, no production caller: the engine's stamping, g_min ladder
+/// and Newton solved with a dense LU that factors from scratch on every
+/// solve. Differential tests compare the engine against it.
+namespace reference {
+
+DcResult solve_dc(const Circuit& ckt, double time_s = 0.0);
+TransientResult simulate_transient(const Circuit& ckt,
+                                   const TransientOptions& options);
+
+}  // namespace reference
 
 }  // namespace cnti::circuit

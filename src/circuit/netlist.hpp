@@ -2,6 +2,7 @@
 // level-1 MOSFETs. The MNA engine consumes this read-only.
 #pragma once
 
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -107,6 +108,11 @@ class Circuit {
   }
 
  private:
+  /// Every add_* rejects node ids outside [0, node_count()], naming the
+  /// element, so no stamp can land outside the MNA system.
+  void expect_nodes(const std::string& element,
+                    std::initializer_list<NodeId> nodes) const;
+
   std::map<std::string, NodeId> node_ids_;
   std::vector<std::string> node_names_ = {"0"};
   NodeId next_id_ = 1;

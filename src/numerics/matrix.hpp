@@ -1,7 +1,7 @@
 // Dense row-major matrix over double or std::complex<double>, with
 // partial-pivot LU factorization, linear solves and inversion. Sized for the
-// library's needs (NEGF cells ~100x100, MNA systems ~1000x1000 fall back to
-// sparse CG; dense LU is used for NEGF and small MNA systems).
+// library's needs (NEGF cells ~100x100, reduced models, and the MNA
+// engine's dense reference oracle; the MNA engine itself uses sparse LU).
 #pragma once
 
 #include <cmath>

@@ -204,7 +204,10 @@ class CsrAssembler {
 
   void freeze() {
     // Unique sorted (row, col) pairs define the CSR pattern; every recorded
-    // stamp gets the slot of its pair.
+    // stamp gets the slot of its pair. The sort only assigns slots: the
+    // values are then summed in stamp-stream order, exactly as a replay
+    // sums them, so the first pass and every replay of the same values
+    // agree bit for bit.
     std::vector<std::size_t> order(slots_.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(),
@@ -215,24 +218,23 @@ class CsrAssembler {
               });
     std::vector<std::size_t> row_ptr(n_ + 1, 0);
     std::vector<std::size_t> col;
-    std::vector<double> val;
     for (std::size_t i = 0; i < order.size();) {
       const std::size_t r = slots_[order[i]].row;
       const std::size_t c = slots_[order[i]].col;
       const std::size_t slot = col.size();
       col.push_back(c);
-      val.push_back(0.0);
       ++row_ptr[r + 1];
-      double acc = 0.0;
       while (i < order.size() && slots_[order[i]].row == r &&
              slots_[order[i]].col == c) {
         slots_[order[i]].slot = slot;
-        acc += recorded_values_[order[i]];
         ++i;
       }
-      val[slot] = acc;
     }
     for (std::size_t r = 0; r < n_; ++r) row_ptr[r + 1] += row_ptr[r];
+    std::vector<double> val(col.size(), 0.0);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      val[slots_[i].slot] += recorded_values_[i];
+    }
     matrix_ = SparseMatrix(n_, n_, std::move(row_ptr), std::move(col),
                            std::move(val));
     recorded_values_.clear();

@@ -31,27 +31,6 @@ ContentKey topology_key(const char* schema,
   return h.key();
 }
 
-ContentKey topology_drive_key(const char* schema,
-                              const circuit::BusTopology& topology,
-                              const circuit::BusDrive& drive,
-                              int time_steps) {
-  KeyHasher h = line_rlc_hasher(schema, topology.line);
-  h.add(topology.coupling_cap_per_m)
-      .add(topology.length_m)
-      .add(topology.lines)
-      .add(topology.segments)
-      .add(drive.aggressor)
-      .add(drive.driver_ohm)
-      .add(drive.vdd_v)
-      .add(drive.edge_time_s)
-      .add(drive.receiver_load_f)
-      .add(drive.mna.solver)
-      .add(drive.mna.sparse_threshold)
-      .add(drive.mna.ordering)
-      .add(time_steps);
-  return h.key();
-}
-
 }  // namespace
 
 core::MultiscaleInput to_multiscale_input(const Scenario& s) {
@@ -157,9 +136,12 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
     const core::DriverLineLoad cfg =
         core::multiscale_driver_line_load(in, line);
     if (s.analysis.delay_model == DelayModel::kMnaTransient) {
+      // .v4: line circuits below the old 192-unknown switch moved from the
+      // dense LU to the sparse engine, whose last bits differ, so .v3
+      // entries are retired (schema-bump policy).
       const auto d = cache_.get_or_compute<double>(
           stage::kDelayMna,
-          line_rlc_hasher("stage.delay-mna.v3", cfg.line)
+          line_rlc_hasher("stage.delay-mna.v4", cfg.line)
               .add(cfg.driver_resistance_ohm)
               .add(cfg.driver_output_capacitance_f)
               .add(cfg.length_m)
@@ -247,10 +229,21 @@ ScenarioResult ScenarioEngine::run(const Scenario& s) const {
       // kernel field, and buses of 1024+ unknowns moved ~3e-12 relative
       // back to the scalar kernel's bits, so .v4 entries are retired
       // (schema-bump policy, docs/SCENARIO_ENGINE.md).
+      // .v6: the MNA engine lost its solver knobs, so the key lost the
+      // drive's solver, threshold and ordering fields.
+      KeyHasher mna_key = line_rlc_hasher("stage.bus-mna.v6", topology.line);
+      mna_key.add(topology.coupling_cap_per_m)
+          .add(topology.length_m)
+          .add(topology.lines)
+          .add(topology.segments)
+          .add(drive.aggressor)
+          .add(drive.driver_ohm)
+          .add(drive.vdd_v)
+          .add(drive.edge_time_s)
+          .add(drive.receiver_load_f)
+          .add(s.analysis.time_steps);
       const auto result = cache_.get_or_compute<circuit::BusCrosstalkResult>(
-          stage::kBusMna,
-          topology_drive_key("stage.bus-mna.v5", topology, drive,
-                             s.analysis.time_steps),
+          stage::kBusMna, mna_key.key(),
           [&] {
             const auto bare = cache_.get_or_compute<circuit::BusNetlist>(
                 stage::kBusNetlist,

@@ -10,7 +10,8 @@
 //    driver->line->receiver chain delay, an RC ladder step response),
 //    captured from the dense engine at the PR-3 baseline — verified
 //    bit-identical to the pre-sparse-rework engine — and pinned through
-//    BOTH backends so the sparse path cannot silently shift physics.
+//    the sparse MNA engine (the RC ladder also through the dense
+//    reference oracle) so no engine change can silently shift physics.
 //    Tolerances (1e-6 relative) sit far above cross-compiler FP noise and
 //    far below any physical shift.
 #include <gtest/gtest.h>
@@ -105,19 +106,10 @@ TEST(GoldenWafer, SeedFixedNoisyMapStatistics) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic MNA waveform pins (both linear backends).
+// Deterministic MNA waveform pins.
 // ---------------------------------------------------------------------------
 
-class GoldenMnaWaveforms : public ::testing::TestWithParam<cir::SolverKind> {
- protected:
-  cir::MnaOptions mna() const {
-    cir::MnaOptions o;
-    o.solver = GetParam();
-    return o;
-  }
-};
-
-TEST_P(GoldenMnaWaveforms, CrosstalkVictimNoisePeak) {
+TEST(GoldenMnaWaveforms, CrosstalkVictimNoisePeak) {
   // Baseline capture (dense, PR-3): peak_noise_v=1.368417963456e-01 at
   // t=1.733023193377e-10, aggressor delay 1.554552285844e-10.
   cir::CrosstalkConfig cfg;
@@ -126,24 +118,28 @@ TEST_P(GoldenMnaWaveforms, CrosstalkVictimNoisePeak) {
   cfg.coupling_cap_per_m = 30e-12;
   cfg.length_m = 50e-6;
   cfg.segments = 12;
-  cfg.mna = mna();
   const cir::CrosstalkResult xt = cir::analyze_crosstalk(cfg, 1200);
   EXPECT_NEAR(xt.peak_noise_v, 1.368417963456e-01, 1e-6 * 1.37e-1);
   EXPECT_NEAR(xt.peak_time_s, 1.733023193377e-10, 1e-6 * 1.73e-10);
   EXPECT_NEAR(xt.aggressor_delay_s, 1.554552285844e-10, 1e-6 * 1.55e-10);
 }
 
-TEST_P(GoldenMnaWaveforms, Fig11ChainDelay) {
+TEST(GoldenMnaWaveforms, Fig11ChainDelay) {
   // Baseline capture (dense, PR-3): delay 4.620541880439e-10 s for a
   // 200 um doped line behind the 8x driver chain.
   cir::Fig11Options opt;
   opt.line = cnti::core::make_paper_mwcnt(10, 4.0, 100e3).rlc();
   opt.length_m = 200e-6;
   opt.segments = 12;
-  opt.mna = mna();
   EXPECT_NEAR(cir::measure_fig11_delay(opt, 2000), 4.620541880439e-10,
               1e-6 * 4.62e-10);
 }
+
+// The RC ladder is pinned through both linear backends: the sparse MNA
+// engine and the dense reference oracle.
+enum class Backend { kDense, kSparse };
+
+class GoldenMnaWaveforms : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(GoldenMnaWaveforms, RcLadderStepResponse) {
   // Baseline capture (dense, PR-3): far-end t50=1.559068319698e-10;
@@ -173,8 +169,10 @@ TEST_P(GoldenMnaWaveforms, RcLadderStepResponse) {
   cir::TransientOptions topt;
   topt.t_stop_s = 1.0e-9;
   topt.dt_s = 0.5e-12;
-  topt.mna = mna();
-  const cir::TransientResult res = cir::simulate_transient(ckt, topt);
+  const cir::TransientResult res =
+      GetParam() == Backend::kDense
+          ? cir::reference::simulate_transient(ckt, topt)
+          : cir::simulate_transient(ckt, topt);
   const auto& v = res.voltage(far);
   const double t50 = cnti::numerics::first_crossing_time(
       res.time(), v, 0.5, /*rising=*/true);
@@ -185,12 +183,10 @@ TEST_P(GoldenMnaWaveforms, RcLadderStepResponse) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothBackends, GoldenMnaWaveforms,
-                         ::testing::Values(cir::SolverKind::kDense,
-                                           cir::SolverKind::kSparse),
+                         ::testing::Values(Backend::kDense, Backend::kSparse),
                          [](const auto& param) {
-                           return param.param == cir::SolverKind::kDense
-                                      ? "Dense"
-                                      : "Sparse";
+                           return param.param == Backend::kDense ? "Dense"
+                                                                 : "Sparse";
                          });
 
 }  // namespace
