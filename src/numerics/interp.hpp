@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,8 +43,8 @@ class LinearInterpolator {
 
 /// First crossing of `level` in sampled signal y(t), linearly interpolated.
 /// Returns negative value when the level is never crossed.
-inline double first_crossing_time(const std::vector<double>& t,
-                                  const std::vector<double>& y, double level,
+inline double first_crossing_time(std::span<const double> t,
+                                  std::span<const double> y, double level,
                                   bool rising, double t_start = 0.0) {
   CNTI_EXPECTS(t.size() == y.size(), "t/y size mismatch");
   for (std::size_t i = 1; i < t.size(); ++i) {

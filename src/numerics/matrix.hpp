@@ -42,6 +42,10 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage, element (r, c) at data()[r * cols() + c].
+  T* data() { return data_.data(); }
+  const T* data() const { return data_.data(); }
+
   Matrix& operator+=(const Matrix& o) {
     CNTI_EXPECTS(rows_ == o.rows_ && cols_ == o.cols_, "shape mismatch");
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += o.data_[i];

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <random>
 
@@ -95,14 +96,27 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
+  /// Normal draw. sigma = 0 is a point mass at `mean` that still
+  /// consumes the engine draws of a sigma > 0 call, so a stream's later
+  /// draws do not depend on which of its parameters were zero. (The
+  /// standard distributions require sigma > 0.)
   double normal(double mean = 0.0, double sigma = 1.0) {
+    CNTI_EXPECTS(std::isfinite(sigma) && sigma >= 0,
+                 "Rng::normal: sigma must be finite and >= 0");
+    if (sigma == 0.0) return standard_normal() * sigma + mean;
     return std::normal_distribution<double>(mean, sigma)(engine_);
   }
 
   /// Lognormal parameterized by the *linear-space* median and the sigma of
-  /// the underlying normal (geometric sigma).
+  /// the underlying normal (geometric sigma); sigma_log = 0 returns the
+  /// median after the same engine draws, as normal() does.
   double lognormal_median(double median, double sigma_log) {
     CNTI_EXPECTS(median > 0, "lognormal median must be positive");
+    CNTI_EXPECTS(std::isfinite(sigma_log) && sigma_log >= 0,
+                 "Rng::lognormal_median: sigma_log must be finite and >= 0");
+    if (sigma_log == 0.0) {
+      return std::exp(sigma_log * standard_normal() + std::log(median));
+    }
     return std::lognormal_distribution<double>(std::log(median),
                                                sigma_log)(engine_);
   }
@@ -139,6 +153,13 @@ class Rng {
   Xoshiro256ss& engine() { return engine_; }
 
  private:
+  /// N(0, 1) from the draws every normal/lognormal call consumes; the
+  /// libstdc++ distributions return z * sigma + mean and
+  /// exp(sigma * z + mu) of this z.
+  double standard_normal() {
+    return std::normal_distribution<double>(0.0, 1.0)(engine_);
+  }
+
   std::uint64_t seed_;
   Xoshiro256ss engine_;
 };

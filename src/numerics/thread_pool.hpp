@@ -239,25 +239,32 @@ inline ThreadPool& global_pool() {
 
 /// Convenience wrapper: run `body(begin, end)` chunks over [0, n).
 /// threads == 0 uses the shared global pool; any other value runs on a
-/// transient private pool of exactly that many threads (spawn/join per
-/// call — meant for tests, benches and explicit one-off widths; steady-
-/// state code should size the global pool via CNTI_THREADS and pass 0).
-/// From inside a chunk body the call degrades to serial execution
-/// without spawning anything: nested parallelism would only oversubscribe
-/// the machine.
+/// transient private pool of that many threads, capped at the chunk
+/// count (spawn/join per call — meant for tests, benches and explicit
+/// one-off widths; steady-state code should size the global pool via
+/// CNTI_THREADS and pass 0). A one-chunk job, and any call from inside a
+/// chunk body, runs on the calling thread without spawning anything:
+/// idle workers and nested parallelism would only cost threads.
 inline void parallel_chunks(std::size_t n, std::size_t grain,
                             const ThreadPool::ChunkBody& body,
                             int threads = 0) {
   CNTI_EXPECTS(threads >= 0, "threads must be >= 0");
   if (threads == 0) {
     global_pool().parallel_chunks(n, grain, body);
-  } else {
-    // A 1-thread pool spawns no workers and takes the serial path, so
-    // the chunk-boundary arithmetic lives in exactly one place.
-    ThreadPool pool(
-        threads > 1 && ThreadPool::in_parallel_region() ? 1 : threads);
-    pool.parallel_chunks(n, grain, body);
+    return;
   }
+  if (n == 0) return;
+  const std::size_t g = std::max<std::size_t>(grain, 1);
+  const std::size_t chunks = (n + g - 1) / g;
+  const int width = ThreadPool::in_parallel_region()
+                        ? 1
+                        : static_cast<int>(std::min<std::size_t>(
+                              chunks, static_cast<std::size_t>(threads)));
+  // The chunk count above only sizes the pool; the chunk boundaries are
+  // still cut by ThreadPool::parallel_chunks alone, and a 1-thread pool
+  // spawns no workers and takes its serial path.
+  ThreadPool pool(width);
+  pool.parallel_chunks(n, grain, body);
 }
 
 }  // namespace cnti::numerics

@@ -62,58 +62,68 @@ BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology) {
   return out;
 }
 
-BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
-                                        int aggressor,
-                                        const BusScenario& sc,
-                                        double t_stop_s, int time_steps) {
+BusLanes::BusLanes(const numerics::MatrixD& br, const numerics::MatrixD& lr,
+                   int lines, int aggressor, const BusScenario& sc,
+                   int time_steps)
+    : br_(&br),
+      lr_(&lr),
+      lr_t_(lr.transpose()),
+      lines_(lines),
+      aggressor_(aggressor),
+      time_steps_(time_steps),
+      scenario_(sc) {
   CNTI_EXPECTS(sc.driver_ohm > 0, "BusRom: driver resistance must be > 0");
   CNTI_EXPECTS(sc.receiver_load_f >= 0, "BusRom: load must be >= 0");
   CNTI_EXPECTS(time_steps >= 2, "BusRom: need at least two time steps");
   CNTI_EXPECTS(aggressor >= 0 && aggressor < lines,
                "BusRom: aggressor index out of range");
-  CNTI_EXPECTS(bare.inputs() >= 2 * lines,
+  CNTI_EXPECTS(static_cast<int>(br.cols()) >= 2 * lines &&
+                   static_cast<int>(lr.cols()) >= 2 * lines,
                "BusRom: bare model is missing head/far ports");
-  static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
-  static const obs::Histogram eval_hist =
-      obs::histogram("cnti.rom.evaluate_ns");
-  evaluations.add();
-  const obs::ObsSpan eval_span("rom.evaluate", "rom", eval_hist);
   const int nl = lines;
 
   // Terminations: every head sees its driver's output conductance (the
   // aggressor's Thevenin source becomes a Norton drive at the same port),
   // every far end its receiver load. Port k is input k and output k by
   // construction in extract_bus_state_space.
-  std::vector<PortTermination> loads;
-  loads.reserve(static_cast<std::size_t>(2 * nl));
+  loads_.reserve(static_cast<std::size_t>(2 * nl));
   for (int l = 0; l < nl; ++l) {
-    loads.push_back({l, l, 1.0 / sc.driver_ohm, 0.0});
+    loads_.push_back({l, l, 1.0 / sc.driver_ohm, 0.0});
   }
   for (int l = 0; l < nl; ++l) {
-    loads.push_back({nl + l, nl + l, 0.0, sc.receiver_load_f});
+    loads_.push_back({nl + l, nl + l, 0.0, sc.receiver_load_f});
   }
-  const ReducedModel terminated = bare.terminated(loads);
 
   // Norton drive: i(t) = v_edge(t) / R_driver into the aggressor head.
   circuit::PulseWave edge = circuit::bus_edge_wave(sc.vdd_v, sc.edge_time_s);
   edge.v2 /= sc.driver_ohm;
-  std::vector<circuit::Waveform> waves(
-      static_cast<std::size_t>(bare.inputs()), circuit::DcWave{0.0});
-  waves[static_cast<std::size_t>(aggressor)] = edge;
+  waves_.assign(br.cols(), circuit::DcWave{0.0});
+  waves_[static_cast<std::size_t>(aggressor)] = edge;
+}
 
-  const ReducedModel::Transient tr =
-      terminated.simulate(waves, t_stop_s, t_stop_s / time_steps);
+void BusLanes::begin(std::size_t lanes) {
+  // Only the far-end voltages are measured.
+  kernel_.begin(lanes, *br_, *lr_, static_cast<std::size_t>(lines_),
+                static_cast<std::size_t>(lines_));
+}
 
+void BusLanes::load(std::size_t lane, double t_stop_s) {
+  fold_terminations(kernel_.g(), kernel_.c(), *br_, lr_t_, loads_);
+  kernel_.load_lane(lane, waves_, t_stop_s, t_stop_s / time_steps_);
+}
+
+BusCrosstalkResult BusLanes::result(std::size_t lane) const {
+  const auto time = kernel_.time(lane);
   BusCrosstalkResult out;
-  out.unknowns = bare.order();
-  out.worst_victim = aggressor == 0 ? 1 : 0;
-  for (int l = 0; l < nl; ++l) {
-    if (l == aggressor) continue;
-    const auto& vn = tr.outputs[static_cast<std::size_t>(nl + l)];
-    for (std::size_t i = 0; i < tr.time.size(); ++i) {
+  out.unknowns = static_cast<int>(br_->rows());
+  out.worst_victim = aggressor_ == 0 ? 1 : 0;
+  for (int l = 0; l < lines_; ++l) {
+    if (l == aggressor_) continue;
+    const auto vn = kernel_.output(lane, static_cast<std::size_t>(l));
+    for (std::size_t i = 0; i < time.size(); ++i) {
       if (std::abs(vn[i]) > std::abs(out.peak_noise_v)) {
         out.peak_noise_v = vn[i];
-        out.peak_time_s = tr.time[i];
+        out.peak_time_s = time[i];
         out.worst_victim = l;
       }
     }
@@ -121,11 +131,29 @@ BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
   // Same sentinel policy as analyze_bus_crosstalk: never-crossed is a
   // quiet NaN, not a negative delay.
   const double crossing = numerics::first_crossing_time(
-      tr.time, tr.outputs[static_cast<std::size_t>(nl + aggressor)],
-      sc.vdd_v / 2.0, /*rising=*/true);
+      time, kernel_.output(lane, static_cast<std::size_t>(aggressor_)),
+      scenario_.vdd_v / 2.0, /*rising=*/true);
   out.aggressor_delay_s =
       crossing < 0.0 ? std::numeric_limits<double>::quiet_NaN() : crossing;
   return out;
+}
+
+BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare, int lines,
+                                        int aggressor,
+                                        const BusScenario& sc,
+                                        double t_stop_s, int time_steps) {
+  static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
+  static const obs::Histogram eval_hist =
+      obs::histogram("cnti.rom.evaluate_ns");
+  BusLanes bus(bare.br(), bare.lr(), lines, aggressor, sc, time_steps);
+  evaluations.add();
+  const obs::ObsSpan eval_span("rom.evaluate", "rom", eval_hist);
+  bus.begin(1);
+  bus.bare_g() = bare.gr();
+  bus.bare_c() = bare.cr();
+  bus.load(0, t_stop_s);
+  bus.run();
+  return bus.result(0);
 }
 
 BusRom::BusRom(const BusConfig& config, PrimaOptions options)

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "circuit/crosstalk.hpp"
+#include "rom/lane_kernel.hpp"
 #include "rom/prima.hpp"
 
 namespace cnti::rom {
@@ -40,14 +41,59 @@ struct BusStateSpace {
 /// descriptor system (see BusStateSpace for the port convention).
 BusStateSpace extract_bus_state_space(const circuit::BusTopology& topology);
 
-/// Runs one driver/load/stimulus scenario on a *bare* reduced bus model
-/// (ports as in BusStateSpace): folds the scenario terminations into the
-/// reduced matrices, replaces the aggressor's Thevenin driver by its
-/// Norton equivalent at the head port, simulates [0, t_stop_s] on
-/// `time_steps` trapezoidal steps and measures worst victim noise and
-/// the aggressor 50% delay (quiet NaN if never crossed). Shared by
-/// BusRom::evaluate and ParametrizedBusRom::evaluate so both stay
-/// field-for-field comparable with analyze_bus_crosstalk.
+/// One driver/load/stimulus scenario bound to the lane kernel: the port
+/// terminations, the aggressor's Norton drive and the noise/delay
+/// measurement that every lane of a group shares. A group is begin(),
+/// then per lane: write the lane's *bare* reduced Gr/Cr (ports as in
+/// BusStateSpace) into bare_g()/bare_c() and load() it; then run() and
+/// read result(lane). The object owns the kernel's buffers, so reused
+/// group after group it allocates nothing past the first group. Not
+/// thread-safe: give each worker its own.
+class BusLanes {
+ public:
+  /// Validates the scenario against a bare bus model with input matrix
+  /// `br` and output matrix `lr`, which must outlive this object.
+  BusLanes(const numerics::MatrixD& br, const numerics::MatrixD& lr,
+           int lines, int aggressor, const BusScenario& scenario,
+           int time_steps);
+  // A loaded kernel holds the address of waves_.
+  BusLanes(const BusLanes&) = delete;
+  BusLanes& operator=(const BusLanes&) = delete;
+
+  const BusScenario& scenario() const { return scenario_; }
+  /// The input matrix the lanes were bound to.
+  const numerics::MatrixD& br() const { return *br_; }
+
+  /// Starts a group of `lanes` (1..kLanes) models.
+  void begin(std::size_t lanes);
+  numerics::MatrixD& bare_g() { return kernel_.g(); }
+  numerics::MatrixD& bare_c() { return kernel_.c(); }
+  /// Folds the terminations into the staged bare model (the aggressor's
+  /// Thevenin driver becomes its Norton equivalent at the head port) and
+  /// loads it as `lane`, simulating [0, t_stop_s] on time_steps steps.
+  void load(std::size_t lane, double t_stop_s);
+  void run() { kernel_.run(); }
+  /// Worst victim noise and the aggressor 50% delay (quiet NaN if never
+  /// crossed) of `lane`, field-for-field comparable with
+  /// analyze_bus_crosstalk.
+  circuit::BusCrosstalkResult result(std::size_t lane) const;
+
+ private:
+  const numerics::MatrixD* br_;
+  const numerics::MatrixD* lr_;
+  numerics::MatrixD lr_t_;
+  int lines_ = 0;
+  int aggressor_ = 0;
+  int time_steps_ = 0;
+  BusScenario scenario_;
+  std::vector<PortTermination> loads_;
+  std::vector<circuit::Waveform> waves_;
+  LaneKernel kernel_;
+};
+
+/// Runs one driver/load/stimulus scenario on a *bare* reduced bus model:
+/// the one-lane call of BusLanes. Shared by BusRom::evaluate and the
+/// benchmark's ROM probes.
 circuit::BusCrosstalkResult evaluate_reduced_bus(const ReducedModel& bare,
                                                  int lines, int aggressor,
                                                  const BusScenario& scenario,

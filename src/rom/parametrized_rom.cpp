@@ -196,6 +196,16 @@ circuit::BusTopology ParametrizedBusRom::topology_at(
 }
 
 ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
+  MatrixD gr(basis_size_, basis_size_), cr(basis_size_, basis_size_);
+  blend_into(p, gr, cr);
+  return ReducedModel(std::move(gr), std::move(cr), br_, lr_, input_names_,
+                      output_names_, full_order_);
+}
+
+void ParametrizedBusRom::blend_into(const BusTechPoint& p, MatrixD& gr,
+                                    MatrixD& cr) const {
+  static const obs::Histogram blend_hist = obs::histogram("cnti.rom.blend_ns");
+  const obs::ObsSpan blend_span("rom.blend", "rom", blend_hist);
   const std::array<Axis, 3> axes = axes_of(box_);
   const std::array<double, 3> values = point_values(p);
   std::array<double, 3> frac{};
@@ -206,7 +216,11 @@ ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
   }
 
   const std::size_t q = basis_size_;
-  MatrixD gr(q, q), cr(q, q);
+  CNTI_EXPECTS(gr.rows() == q && gr.cols() == q && cr.rows() == q &&
+                   cr.cols() == q,
+               "ParametrizedBusRom: blend target must be order() x order()");
+  std::fill(gr.data(), gr.data() + q * q, 0.0);
+  std::fill(cr.data(), cr.data() + q * q, 0.0);
   for (std::size_t ci = 0; ci < corner_points_.size(); ++ci) {
     const std::array<double, 3> cv = point_values(corner_points_[ci]);
     double w = 1.0;
@@ -224,8 +238,6 @@ ReducedModel ParametrizedBusRom::model_at(const BusTechPoint& p) const {
       }
     }
   }
-  return ReducedModel(std::move(gr), std::move(cr), br_, lr_, input_names_,
-                      output_names_, full_order_);
 }
 
 double ParametrizedBusRom::window_s(const BusTechPoint& p,
@@ -241,8 +253,40 @@ double ParametrizedBusRom::window_s(const BusTechPoint& p,
 
 circuit::BusCrosstalkResult ParametrizedBusRom::evaluate(
     const BusTechPoint& p, const BusScenario& sc, int time_steps) const {
-  return evaluate_reduced_bus(model_at(p), topology_.lines, aggressor_, sc,
-                              window_s(p, sc), time_steps);
+  BusLanes lanes = bus_lanes(sc, time_steps);
+  circuit::BusCrosstalkResult out;
+  evaluate({&p, 1}, lanes, {&out, 1});
+  return out;
+}
+
+BusLanes ParametrizedBusRom::bus_lanes(const BusScenario& sc,
+                                       int time_steps) const {
+  return BusLanes(br_, lr_, topology_.lines, aggressor_, sc, time_steps);
+}
+
+void ParametrizedBusRom::evaluate(
+    std::span<const BusTechPoint> points, BusLanes& lanes,
+    std::span<circuit::BusCrosstalkResult> out) const {
+  CNTI_EXPECTS(out.size() == points.size(),
+               "ParametrizedBusRom: one result slot per point");
+  CNTI_EXPECTS(&lanes.br() == &br_,
+               "ParametrizedBusRom: lanes come from another ROM's bus_lanes()");
+  static const obs::Counter evaluations = obs::counter("cnti.rom.evaluations");
+  static const obs::Histogram eval_hist =
+      obs::histogram("cnti.rom.evaluate_ns");
+  for (std::size_t lo = 0; lo < points.size(); lo += kLanes) {
+    const std::size_t n = std::min(kLanes, points.size() - lo);
+    evaluations.add(n);
+    const obs::ObsSpan eval_span("rom.evaluate", "rom", eval_hist);
+    lanes.begin(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      const BusTechPoint& p = points[lo + l];
+      blend_into(p, lanes.bare_g(), lanes.bare_c());
+      lanes.load(l, window_s(p, lanes.scenario()));
+    }
+    lanes.run();
+    for (std::size_t l = 0; l < n; ++l) out[lo + l] = lanes.result(l);
+  }
 }
 
 ParamRomValidation ParametrizedBusRom::validate_against_mna(

@@ -18,8 +18,11 @@
 // sparse-MNA transient at sampled non-anchor points.
 //
 // evaluate() is const and thread-safe: reduce once per (topology, box,
-// aggressor), then sample technologies in parallel at ROM cost.
+// aggressor), then sample technologies in parallel at ROM cost, in
+// lockstep groups of kLanes samples per worker (rom/lane_kernel.hpp).
 #pragma once
+
+#include <span>
 
 #include "circuit/crosstalk.hpp"
 #include "rom/interconnect_rom.hpp"
@@ -87,9 +90,20 @@ class ParametrizedBusRom {
 
   /// Runs the scenario transient on the blended model; field-for-field
   /// comparable with analyze_bus_crosstalk(topology_at(point), drive).
+  /// The one-lane call of the lane-group evaluate below.
   circuit::BusCrosstalkResult evaluate(const BusTechPoint& point,
                                        const BusScenario& scenario,
                                        int time_steps = 1500) const;
+
+  /// Lane buffers for evaluating `scenario` on this ROM (one per worker).
+  BusLanes bus_lanes(const BusScenario& scenario, int time_steps) const;
+
+  /// Evaluates every point in lockstep groups of up to kLanes on `lanes`
+  /// (from bus_lanes()); out[i] is bit-identical to evaluate(points[i],
+  /// lanes.scenario(), time_steps). Allocates nothing once `lanes` has
+  /// run a group.
+  void evaluate(std::span<const BusTechPoint> points, BusLanes& lanes,
+                std::span<circuit::BusCrosstalkResult> out) const;
 
   /// Error-bound policy: evaluates `probes` deterministic interior
   /// (non-anchor) technology points both ways — blended ROM vs full
@@ -101,6 +115,10 @@ class ParametrizedBusRom {
                                           int time_steps = 1500) const;
 
  private:
+  /// Blends V^T G(p) V / V^T C(p) V into g and c (q x q).
+  void blend_into(const BusTechPoint& point, numerics::MatrixD& g,
+                  numerics::MatrixD& c) const;
+
   circuit::BusTopology topology_;  ///< Anchor (scale = 1) topology.
   BusTechBox box_;
   int aggressor_ = 0;

@@ -1,11 +1,14 @@
 #include "rom/reduced_model.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
 #include "numerics/eig.hpp"
+#include "obs/obs.hpp"
 #include "rom/detail.hpp"
+#include "rom/lane_kernel.hpp"
 
 namespace cnti::rom {
 
@@ -62,33 +65,53 @@ ReducedModel ReducedModel::terminated(
     const std::vector<PortTermination>& loads) const {
   MatrixD g = gr_;
   MatrixD c = cr_;
-  const std::size_t q = g.rows();
-  for (const auto& load : loads) {
-    CNTI_EXPECTS(load.input >= 0 && load.input < inputs(),
-                 "terminated: input index out of range");
-    CNTI_EXPECTS(load.output >= 0 && load.output < outputs(),
-                 "terminated: output index out of range");
-    CNTI_EXPECTS(load.conductance_s >= 0 && load.capacitance_f >= 0,
-                 "terminated: shunt elements must be >= 0");
-    // i_port = -(g + s c) v_port folds as the rank-1 congruence update
-    // b l^T — exactly V^T (G_full + g e e^T) V when input and output map
-    // the same node, so the terminated model is still a projection of a
-    // passive network.
-    for (std::size_t i = 0; i < q; ++i) {
-      const double bi = br_(i, static_cast<std::size_t>(load.input));
-      if (bi == 0.0) continue;
-      for (std::size_t j = 0; j < q; ++j) {
-        const double lj = lr_(j, static_cast<std::size_t>(load.output));
-        if (lj == 0.0) continue;
-        g(i, j) += load.conductance_s * bi * lj;
-        c(i, j) += load.capacitance_f * bi * lj;
-      }
-    }
-  }
+  fold_terminations(g, c, br_, lr_.transpose(), loads);
   ReducedModel out(std::move(g), std::move(c), br_, lr_, input_names_,
                    output_names_, full_order_);
   out.basis_ = basis_;  // same projection span; see basis()
   return out;
+}
+
+void fold_terminations(MatrixD& g, MatrixD& c, const MatrixD& br,
+                       const MatrixD& lr_t,
+                       const std::vector<PortTermination>& loads) {
+  static const obs::Histogram terminate_hist =
+      obs::histogram("cnti.rom.terminate_ns");
+  const obs::ObsSpan terminate_span("rom.terminate", "rom", terminate_hist);
+  const std::size_t q = g.rows();
+  CNTI_EXPECTS(g.cols() == q && c.rows() == q && c.cols() == q &&
+                   br.rows() == q && lr_t.cols() == q,
+               "terminated: shape mismatch");
+  for (const auto& load : loads) {
+    CNTI_EXPECTS(load.input >= 0 && load.input < static_cast<int>(br.cols()),
+                 "terminated: input index out of range");
+    CNTI_EXPECTS(
+        load.output >= 0 && load.output < static_cast<int>(lr_t.rows()),
+        "terminated: output index out of range");
+    CNTI_EXPECTS(load.conductance_s >= 0 && load.capacitance_f >= 0,
+                 "terminated: shunt elements must be >= 0");
+  }
+  // i_port = -(g + s c) v_port folds as the rank-1 congruence update
+  // b l^T — exactly V^T (G_full + g e e^T) V when input and output map
+  // the same node, so the terminated model is still a projection of a
+  // passive network. Row by row with the loads inside: each entry still
+  // takes its updates in load order.
+  for (std::size_t i = 0; i < q; ++i) {
+    double* gi = &g(i, 0);
+    double* ci = &c(i, 0);
+    for (const auto& load : loads) {
+      const double bi = br(i, static_cast<std::size_t>(load.input));
+      if (bi == 0.0) continue;
+      const double gb = load.conductance_s * bi;
+      const double cb = load.capacitance_f * bi;
+      const double* lj = &lr_t(static_cast<std::size_t>(load.output), 0);
+      for (std::size_t j = 0; j < q; ++j) {
+        if (lj[j] == 0.0) continue;
+        gi[j] += gb * lj[j];
+        ci[j] += cb * lj[j];
+      }
+    }
+  }
 }
 
 complex<double> ReducedModel::transfer(double frequency_hz, int output,
@@ -194,66 +217,20 @@ bool ReducedModel::stable(double slack) const {
 ReducedModel::Transient ReducedModel::simulate(
     const std::vector<circuit::Waveform>& input_waves, double t_stop_s,
     double dt_s) const {
-  CNTI_EXPECTS(static_cast<int>(input_waves.size()) == inputs(),
-               "simulate: need one waveform per input");
-  CNTI_EXPECTS(t_stop_s > 0, "simulate: t_stop must be positive");
-  CNTI_EXPECTS(dt_s > 0 && dt_s < t_stop_s,
-               "simulate: dt must be positive and below t_stop");
-  const std::size_t q = gr_.rows();
-  const std::size_t m = br_.cols();
   const std::size_t p = lr_.cols();
-
-  const auto input_at = [&](double t) {
-    std::vector<double> u(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      u[k] = circuit::waveform_value(input_waves[k], t);
-    }
-    return u;
-  };
-
-  // DC start: Gr x0 = Br u(0), matching the full engine's operating-point
-  // initialisation.
-  std::vector<double> u_prev = input_at(0.0);
-  std::vector<double> x = LuFactorization<double>(gr_).solve(br_ * u_prev);
-
-  // Trapezoidal: (2C/dt + G) x1 = (2C/dt - G) x0 + B (u0 + u1). The left
-  // matrix is factored once; each step is a matvec and a back-substitution.
-  MatrixD lhs = cr_;
-  lhs *= 2.0 / dt_s;
-  MatrixD rhs_mat = lhs;
-  lhs += gr_;
-  rhs_mat -= gr_;
-  const LuFactorization<double> step_lu(lhs);
-
-  // Same grid construction as circuit::simulate_transient, so ROM and full
-  // MNA waveforms are directly comparable sample-by-sample.
-  const auto steps =
-      static_cast<std::size_t>(std::ceil(t_stop_s / dt_s - 1e-9)) + 1;
+  LaneKernel kernel;
+  kernel.begin(1, br_, lr_, 0, p);
+  kernel.g() = gr_;
+  kernel.c() = cr_;
+  kernel.load_lane(0, input_waves, t_stop_s, dt_s);
+  kernel.run();
   Transient out;
-  out.time.resize(steps);
-  out.outputs.assign(p, std::vector<double>(steps, 0.0));
-  const auto record = [&](std::size_t step, double t) {
-    out.time[step] = t;
-    for (std::size_t j = 0; j < p; ++j) {
-      double y = 0.0;
-      for (std::size_t i = 0; i < q; ++i) y += lr_(i, j) * x[i];
-      out.outputs[j][step] = y;
-    }
-  };
-  record(0, 0.0);
-
-  std::vector<double> rhs(q);
-  for (std::size_t step = 1; step < steps; ++step) {
-    const double t = static_cast<double>(step) * dt_s;
-    const std::vector<double> u = input_at(t);
-    rhs = rhs_mat * x;
-    std::vector<double> usum(m);
-    for (std::size_t k = 0; k < m; ++k) usum[k] = u_prev[k] + u[k];
-    const std::vector<double> bu = br_ * usum;
-    for (std::size_t i = 0; i < q; ++i) rhs[i] += bu[i];
-    x = step_lu.solve(rhs);
-    u_prev = u;
-    record(step, t);
+  const auto time = kernel.time(0);
+  out.time.assign(time.begin(), time.end());
+  out.outputs.reserve(p);
+  for (std::size_t j = 0; j < p; ++j) {
+    const auto y = kernel.output(0, j);
+    out.outputs.emplace_back(y.begin(), y.end());
   }
   return out;
 }

@@ -18,6 +18,8 @@
 //
 // All evaluation methods are const and allocate locally, so one model can
 // be shared across SweepEngine/ThreadPool workers without synchronization.
+// The transient runs on the lockstep lane kernel (rom/lane_kernel.hpp),
+// whose buffers the statistical study reuses across samples.
 #pragma once
 
 #include <complex>
@@ -76,7 +78,7 @@ class ReducedModel {
 
   /// Model with external shunt terminations folded into Gr/Cr (rank-1
   /// congruence updates; preserves stability because the terminated full
-  /// network is still passive).
+  /// network is still passive). See fold_terminations.
   ReducedModel terminated(const std::vector<PortTermination>& loads) const;
 
   /// H(j 2 pi f) from one input to one output.
@@ -113,8 +115,10 @@ class ReducedModel {
   };
 
   /// Trapezoidal integration from the DC operating point at t = 0; one
-  /// waveform per input. Cost: one q x q factorization plus O(q^2) per
-  /// step.
+  /// waveform per input. Cost: two q x q factorizations plus O(q^2) per
+  /// step. The one-lane call of the lane kernel (rom/lane_kernel.hpp).
+  /// With every input zero at t = 0 the DC solve is skipped (x0 = 0), so
+  /// a singular Gr throws NumericalError only for a driven start.
   Transient simulate(const std::vector<circuit::Waveform>& input_waves,
                      double t_stop_s, double dt_s) const;
 
@@ -127,5 +131,16 @@ class ReducedModel {
   std::vector<std::vector<double>> basis_;  ///< [q][n], see basis().
   int full_order_ = 0;
 };
+
+/// Folds `loads` into g and c in place — the arithmetic of
+/// ReducedModel::terminated: for each load in order, g(i, j) +=
+/// (conductance * Br(i, in)) * Lr(j, out) and likewise c with the
+/// capacitance, skipping zero Br / Lr entries. `lr_t` is Lr transposed
+/// (outputs x q), so the update runs along contiguous rows. Every load is
+/// validated before any is applied.
+void fold_terminations(numerics::MatrixD& g, numerics::MatrixD& c,
+                       const numerics::MatrixD& br,
+                       const numerics::MatrixD& lr_t,
+                       const std::vector<PortTermination>& loads);
 
 }  // namespace cnti::rom

@@ -1,6 +1,7 @@
 #include "scenario/statistical.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -353,18 +354,35 @@ StatisticalShard ScenarioEngine::run_statistical(const Scenario& s,
   const std::size_t count = static_cast<std::size_t>(end - begin);
   shard.noise_v.assign(count, 0.0);
   shard.delay_s.assign(count, 0.0);
-  // Slot-indexed per-sample evaluation: sample begin+i writes slot i, so
-  // results are bit-identical at any thread count / chunk grain.
+  // Lockstep sample groups: group g holds samples [g K, g K + K) of the
+  // shard (K = rom::kLanes, the last group ragged). The groups split into
+  // one contiguous run per pool lane; each run builds one BusLanes
+  // workspace, so nothing is allocated per sample. Sample begin+i writes
+  // slot i and its lane arithmetic does not depend on its group partners,
+  // so results are bit-identical at any thread count, shard split or
+  // sample count.
+  const std::size_t groups = (count + rom::kLanes - 1) / rom::kLanes;
+  const std::size_t width = static_cast<std::size_t>(
+      options_.sweep.threads > 0 ? options_.sweep.threads
+                                 : numerics::global_pool().thread_count());
   numerics::parallel_chunks(
-      count, options_.sweep.grain,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          const rom::BusTechPoint p =
-              sample_tech_point(var, begin + static_cast<std::uint64_t>(i));
-          const circuit::BusCrosstalkResult r =
-              prom->evaluate(p, sc, s.analysis.time_steps);
-          shard.noise_v[i] = r.peak_noise_v;
-          shard.delay_s[i] = r.aggressor_delay_s;
+      groups, (groups + width - 1) / width,
+      [&](std::size_t g0, std::size_t g1) {
+        rom::BusLanes lanes = prom->bus_lanes(sc, s.analysis.time_steps);
+        std::array<rom::BusTechPoint, rom::kLanes> points;
+        std::array<circuit::BusCrosstalkResult, rom::kLanes> results;
+        for (std::size_t g = g0; g < g1; ++g) {
+          const std::size_t lo = g * rom::kLanes;
+          const std::size_t n = std::min(rom::kLanes, count - lo);
+          for (std::size_t l = 0; l < n; ++l) {
+            points[l] = sample_tech_point(
+                var, begin + static_cast<std::uint64_t>(lo + l));
+          }
+          prom->evaluate({points.data(), n}, lanes, {results.data(), n});
+          for (std::size_t l = 0; l < n; ++l) {
+            shard.noise_v[lo + l] = results[l].peak_noise_v;
+            shard.delay_s[lo + l] = results[l].aggressor_delay_s;
+          }
         }
       },
       options_.sweep.threads);

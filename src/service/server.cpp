@@ -124,16 +124,18 @@ void ScenarioServer::start() {
     sys_fail("getsockname");
   }
   port_ = ntohs(addr.sin_port);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept loop gets its own copy of the descriptor: stop() owns
+  // listen_fd_ and closes it only after the loop has exited.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
   dispatch_thread_ = std::thread([this] { dispatch_loop(); });
 }
 
-void ScenarioServer::accept_loop() {
+void ScenarioServer::accept_loop(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // Listener closed by stop() (EBADF/EINVAL) — time to leave.
+      // Listener shut down by stop() (EINVAL) — time to leave.
       return;
     }
     service_obs().connections.add();
@@ -328,13 +330,15 @@ void ScenarioServer::stop() {
   queue_cv_.notify_all();
   if (dispatch_thread_.joinable()) dispatch_thread_.join();
 
-  // Close the listener so the accept loop unblocks and exits.
+  // Shut the listener down so the accept loop unblocks and exits, then
+  // close it: the descriptor number cannot be reused under a live
+  // accept().
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // Half-close the connections (SHUT_RD): their readers see EOF and exit,
   // but any response still being streamed flushes unharmed.

@@ -89,7 +89,7 @@ class ScenarioServer {
     std::promise<std::vector<scenario::ScenarioResult>> promise;
   };
 
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void dispatch_loop();
   void serve_connection(int fd);
   void handle_request_line(int fd, const std::string& line);

@@ -494,6 +494,42 @@ TEST(Rng, ForkKeepsTheRootSeed) {
   }
 }
 
+TEST(Rng, ZeroSigmaIsAPointMassThatKeepsTheStreamInStep) {
+  // sigma = 0 returns the mean (the median for the lognormal) and still
+  // consumes a sigma > 0 call's engine draws, so later draws of the same
+  // stream do not depend on which parameters were zero.
+  cn::Rng a(77), b(77);
+  EXPECT_EQ(a.normal(2.5, 0.0), 2.5);
+  (void)b.normal(2.5, 1.0);
+  EXPECT_EQ(a.uniform(), b.uniform());
+  EXPECT_EQ(a.lognormal_median(3.0, 0.0), std::exp(std::log(3.0)));
+  (void)b.lognormal_median(3.0, 0.4);
+  EXPECT_EQ(a.uniform(), b.uniform());
+  EXPECT_EQ(a.normal_truncated(-1.0, 0.0, -2.0, 0.0), -1.0);
+  (void)b.normal_truncated(-1.0, 0.5, -9.0, 9.0);
+  EXPECT_EQ(a.uniform(), b.uniform());
+}
+
+TEST(Rng, RejectsNegativeOrNonFiniteSigmaByName) {
+  cn::Rng rng(1);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-1.0, nan, inf}) {
+    try {
+      (void)rng.normal(0.0, bad);
+      ADD_FAILURE() << "normal accepted sigma " << bad;
+    } catch (const cnti::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("sigma"), std::string::npos);
+    }
+    try {
+      (void)rng.lognormal_median(1.0, bad);
+      ADD_FAILURE() << "lognormal_median accepted sigma_log " << bad;
+    } catch (const cnti::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("sigma_log"), std::string::npos);
+    }
+  }
+}
+
 TEST(Rng, LognormalMedianApproximatelyCorrect) {
   cn::Rng rng(13);
   std::vector<double> s;

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <thread>
 #include <vector>
@@ -139,6 +140,47 @@ TEST(ThreadPool, ConcurrentSubmittersSerializeSafely) {
       ASSERT_EQ(hits[s][i], 1) << "submitter " << s << " index " << i;
     }
   }
+}
+
+/// Threads of this process, or 0 where /proc/self/task is unavailable.
+std::size_t live_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return ec ? 0 : n;
+}
+
+TEST(ThreadPool, PrivatePoolWidthIsCappedAtTheChunkCount) {
+  if (live_threads() == 0) GTEST_SKIP() << "/proc/self/task not readable";
+  // A one-chunk job runs on the calling thread and spawns nothing.
+  const std::size_t before = live_threads();
+  std::thread::id ran_on;
+  std::size_t during = 0;
+  cn::parallel_chunks(
+      10, 16,
+      [&](std::size_t, std::size_t) {
+        ran_on = std::this_thread::get_id();
+        during = live_threads();
+      },
+      4);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(during, before);
+  // Three chunks on an eight-thread request: at most two workers join the
+  // caller.
+  std::atomic<std::size_t> peak{0};
+  cn::parallel_chunks(
+      3, 1,
+      [&](std::size_t, std::size_t) {
+        const std::size_t now = live_threads();
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+      },
+      8);
+  EXPECT_LE(peak.load(), before + 2);
 }
 
 TEST(ThreadPool, ThreadCountAndEnvKnob) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <complex>
 #include <limits>
 #include <string>
@@ -476,6 +478,29 @@ TEST(ReducedModel, EvaluationContracts) {
                cnti::PreconditionError);
 }
 
+TEST(ReducedModel, SingularGrIsReportedOnlyWhenTheDcStartIsSolved) {
+  // Gr = 0: no DC path, but the step matrix 2C/dt + Gr is regular. A
+  // quiescent start (every input zero at t = 0) needs no DC solve and
+  // integrates from x0 = 0; a driven start must solve Gr x0 = Br u(0)
+  // and reports the singular Gr.
+  cnti::numerics::MatrixD gr(2, 2);
+  cnti::numerics::MatrixD cr(2, 2);
+  cr(0, 0) = 1e-12;
+  cr(1, 1) = 1e-12;
+  cnti::numerics::MatrixD br(2, 1);
+  br(0, 0) = 1e-3;
+  cnti::numerics::MatrixD lr(2, 1);
+  lr(0, 0) = 1.0;
+  const rom::ReducedModel rm(gr, cr, br, lr, {"u"}, {"v"}, 2);
+  const auto tr = rm.simulate(
+      {cir::PulseWave{0.0, 1.0, 1e-11, 1e-11, 1e-11, 1.0, 2.0}}, 1e-10,
+      1e-12);
+  EXPECT_EQ(tr.outputs[0].front(), 0.0);
+  EXPECT_GT(tr.outputs[0].back(), 0.0);
+  EXPECT_THROW(rm.simulate({cir::DcWave{1.0}}, 1e-10, 1e-12),
+               cnti::NumericalError);
+}
+
 TEST(ReducedModel, StepResponseSettlesToDcGain) {
   cir::NodeId out = 0;
   const auto ckt = rc_lowpass(&out);
@@ -702,6 +727,166 @@ TEST(ParamRom, WindowTracksTheTechnologyPoint) {
   drive.edge_time_s = sc.edge_time_s;
   EXPECT_EQ(prom.window_s(p, sc),
             cir::bus_settle_time_s(prom.topology_at(p), drive));
+}
+
+// --- Lockstep lane kernel --------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Terminated blended models of the 4 x 8 bus at `points`, and the
+/// matching one-lane transients (ReducedModel::simulate).
+struct LaneFixture {
+  cir::BusConfig cfg = paper_bus(4, 8);
+  rom::BusTechBox box{{0.85, 0.90, 0.80}, {1.15, 1.10, 1.20}};
+  rom::ParametrizedBusRom prom{cfg.topology(), box};
+  std::vector<rom::PortTermination> loads;
+  std::vector<cir::Waveform> waves;
+
+  LaneFixture() {
+    for (int l = 0; l < 4; ++l) loads.push_back({l, l, 1.0 / 5e3, 0.0});
+    for (int l = 0; l < 4; ++l) loads.push_back({4 + l, 4 + l, 0.0, 2e-16});
+    waves.assign(8, cir::DcWave{0.0});
+    waves[1] = cir::PulseWave{0.0, 2e-4, 0.0, 2e-11, 2e-11, 1.0, 2.0};
+  }
+  rom::ReducedModel model(const rom::BusTechPoint& p) const {
+    return prom.model_at(p).terminated(loads);
+  }
+};
+
+TEST(LaneKernel, EveryLaneMatchesItsOneLaneRunBitForBit) {
+  // Lanes never mix: each lane of a group — full or ragged, whatever its
+  // time grid — reproduces the one-lane transient of its model exactly.
+  const LaneFixture f;
+  const std::vector<rom::BusTechPoint> points = {
+      {0.9, 1.0, 0.85}, {1.1, 0.95, 1.15}, {1.0, 1.05, 1.0}, {0.86, 1.09, 1.19}};
+  const double t_stop[] = {2e-10, 3e-10, 2.5e-10, 1.7e-10};
+  const double dt[] = {1e-12, 1.5e-12, 2.5e-12, 1e-12};  // ragged step counts
+  // Odd lanes start from a DC operating point, even lanes quiescent.
+  std::vector<std::vector<cir::Waveform>> waves(4, f.waves);
+  waves[1][2] = cir::DcWave{1e-4};
+  waves[3][2] = cir::DcWave{-2e-4};
+  for (const std::size_t lanes : {std::size_t{4}, std::size_t{3}}) {
+    rom::LaneKernel kernel;
+    std::vector<rom::ReducedModel> models;
+    for (std::size_t l = 0; l < lanes; ++l) models.push_back(f.model(points[l]));
+    // begin() keeps references to Br/Lr: take them from a live model.
+    kernel.begin(lanes, models[0].br(), models[0].lr(), 0, 8);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      kernel.g() = models[l].gr();
+      kernel.c() = models[l].cr();
+      kernel.load_lane(l, waves[l], t_stop[l], dt[l]);
+    }
+    kernel.run();
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const auto ref = models[l].simulate(waves[l], t_stop[l], dt[l]);
+      ASSERT_EQ(kernel.steps(l), ref.time.size()) << "lane " << l;
+      for (std::size_t s = 0; s < ref.time.size(); ++s) {
+        ASSERT_EQ(bits(kernel.time(l)[s]), bits(ref.time[s]));
+        for (std::size_t k = 0; k < 8; ++k) {
+          ASSERT_EQ(bits(kernel.output(l, k)[s]), bits(ref.outputs[k][s]))
+              << "lanes " << lanes << " lane " << l << " output " << k
+              << " step " << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneKernel, RejectsBadGroupsAndUnloadedLanes) {
+  const LaneFixture f;
+  const rom::ReducedModel m = f.model({1.0, 1.0, 1.0});
+  rom::LaneKernel kernel;
+  EXPECT_THROW(kernel.begin(0, m.br(), m.lr(), 0, 8), cnti::PreconditionError);
+  EXPECT_THROW(kernel.begin(rom::kLanes + 1, m.br(), m.lr(), 0, 8),
+               cnti::PreconditionError);
+  EXPECT_THROW(kernel.begin(2, m.br(), m.lr(), 4, 5), cnti::PreconditionError);
+  kernel.begin(2, m.br(), m.lr(), 4, 4);
+  kernel.g() = m.gr();
+  kernel.c() = m.cr();
+  EXPECT_THROW(kernel.load_lane(2, f.waves, 1e-10, 1e-12),
+               cnti::PreconditionError);
+  EXPECT_THROW(kernel.load_lane(0, {}, 1e-10, 1e-12), cnti::PreconditionError);
+  kernel.load_lane(0, f.waves, 1e-10, 1e-12);
+  EXPECT_THROW(kernel.run(), cnti::PreconditionError);  // lane 1 not loaded
+}
+
+TEST(ParamRom, LaneGroupsMatchSingleEvaluationsBitForBit) {
+  // Nine points: two full lane groups and a ragged one, on one reused
+  // BusLanes workspace.
+  const LaneFixture f;
+  rom::BusScenario sc;
+  sc.driver_ohm = 4e3;
+  std::vector<rom::BusTechPoint> points;
+  for (int i = 0; i < 9; ++i) {
+    points.push_back({0.86 + 0.03 * i, 1.09 - 0.02 * i, 0.81 + 0.04 * i});
+  }
+  std::vector<cir::BusCrosstalkResult> grouped(points.size());
+  rom::BusLanes lanes = f.prom.bus_lanes(sc, 300);
+  f.prom.evaluate(points, lanes, grouped);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const auto single = f.prom.evaluate(points[i], sc, 300);
+    EXPECT_EQ(bits(grouped[i].peak_noise_v), bits(single.peak_noise_v)) << i;
+    EXPECT_EQ(bits(grouped[i].peak_time_s), bits(single.peak_time_s)) << i;
+    EXPECT_EQ(bits(grouped[i].aggressor_delay_s),
+              bits(single.aggressor_delay_s)) << i;
+    EXPECT_EQ(grouped[i].worst_victim, single.worst_victim) << i;
+    EXPECT_EQ(grouped[i].unknowns, single.unknowns) << i;
+  }
+  // Reusing the workspace for a second, smaller call changes nothing.
+  std::vector<cir::BusCrosstalkResult> again(2);
+  f.prom.evaluate({points.data() + 4, 2}, lanes, again);
+  EXPECT_EQ(bits(again[1].peak_noise_v), bits(grouped[5].peak_noise_v));
+  // Lanes are bound to the ROM that made them.
+  const rom::ParametrizedBusRom other(f.cfg.topology(), f.box);
+  EXPECT_THROW(other.evaluate({points.data(), 1}, lanes, {again.data(), 1}),
+               cnti::PreconditionError);
+}
+
+TEST(RomPins, TransientBitsAreUnchangedByTheLaneKernel) {
+  // Hex pins taken from the scalar trapezoidal loop (before the lane
+  // kernel): any reassociation of the step arithmetic moves them.
+  cir::BusConfig cfg = paper_bus(4, 12);
+  const rom::BusRom bus(cfg);
+  rom::BusScenario bsc = bus.nominal_scenario();
+  bsc.driver_ohm = 500.0;
+  auto r = bus.evaluate(bsc, 300);
+  EXPECT_EQ(bits(r.peak_noise_v), 0x3fbfcfddbeb9d1aeULL);
+  EXPECT_EQ(bits(r.peak_time_s), 0x3dede91726f971daULL);
+  EXPECT_EQ(bits(r.aggressor_delay_s), 0x3debad3c6d775bd1ULL);
+  EXPECT_EQ(r.worst_victim, 3);
+  bsc.driver_ohm = 5e3;
+  r = bus.evaluate(bsc, 300);
+  EXPECT_EQ(bits(r.peak_noise_v), 0x3fbf72315429dc57ULL);
+  EXPECT_EQ(bits(r.peak_time_s), 0x3df0d2b367ae320bULL);
+  EXPECT_EQ(bits(r.aggressor_delay_s), 0x3deffe25ae9fab05ULL);
+
+  cfg.segments = 8;
+  rom::BusTechBox box;
+  box.lo = {0.85, 0.90, 0.80};
+  box.hi = {1.15, 1.10, 1.20};
+  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  const auto p = prom.evaluate({1.07, 0.93, 1.11}, rom::BusScenario{}, 400);
+  EXPECT_EQ(bits(p.peak_noise_v), 0x3fc15ebf8d19595fULL);
+  EXPECT_EQ(bits(p.peak_time_s), 0x3df138353dfc936eULL);
+  EXPECT_EQ(bits(p.aggressor_delay_s), 0x3df0260f5a91f8adULL);
+  EXPECT_EQ(p.worst_victim, 3);
+
+  const rom::ReducedModel m = prom.model_at({1.07, 0.93, 1.11});
+  const auto tr = m.step_response(0, 2e-10, 1e-12);
+  ASSERT_EQ(tr.time.size(), 201u);
+  EXPECT_EQ(bits(tr.outputs[5][50]), 0x40a2ab0f12d50f4fULL);
+  EXPECT_EQ(bits(tr.outputs[7][200]), 0x40956be65966109fULL);
+  EXPECT_EQ(bits(tr.outputs[0][1]), 0x40c5794a2bec0ba5ULL);
+
+  // A non-zero input at t = 0 takes the DC-start solve (the runs above
+  // start quiescent, where x0 = 0 needs none).
+  const LaneFixture f;
+  std::vector<cir::Waveform> waves = f.waves;
+  waves[2] = cir::DcWave{1e-4};
+  const auto dc = m.terminated(f.loads).simulate(waves, 2e-10, 1e-12);
+  EXPECT_EQ(bits(dc.outputs[6][0]), 0x3fdfffff9b07d57cULL);
+  EXPECT_EQ(bits(dc.outputs[6][100]), 0x3fe3526aabfc7046ULL);
+  EXPECT_EQ(bits(dc.outputs[5][200]), 0x3fe48bc37ea350e7ULL);
 }
 
 }  // namespace

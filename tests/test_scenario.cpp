@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "common/json_sink.hpp"
 #include "common/units.hpp"
 #include "core/multiscale.hpp"
+#include "rom/parametrized_rom.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "scenario/content_key.hpp"
 #include "scenario/engine.hpp"
@@ -877,6 +879,89 @@ TEST(Statistical, RunIsThreadAndGrainInvariant) {
   EXPECT_EQ(a.study_key.lo, b.study_key.lo);
   EXPECT_EQ(a.noise_v, b.noise_v);
   EXPECT_EQ(a.delay_s, b.delay_s);
+}
+
+/// The study's parametrized ROM built outside the engine, the way the
+/// engine builds it, so samples can be checked against single
+/// ParametrizedBusRom::evaluate calls.
+struct StudyRom {
+  cnti::rom::BusScenario scenario;
+  std::unique_ptr<cnti::rom::ParametrizedBusRom> prom;
+};
+
+StudyRom study_rom(const sc::Scenario& s) {
+  const cc::MultiscaleInput in = sc::to_multiscale_input(s);
+  const cc::ChannelStage channels =
+      cc::doping_channel_stage(s.tech.dopant, s.tech.dopant_concentration);
+  const cc::MwcntLine line(cc::multiscale_line_spec(
+      in, channels, cc::environment_capacitance(s.tech.environment)));
+  const cir::BusDrive drive = sc::to_bus_drive(s);
+  StudyRom out;
+  out.scenario.driver_ohm = drive.driver_ohm;
+  out.scenario.receiver_load_f = drive.receiver_load_f;
+  out.scenario.vdd_v = drive.vdd_v;
+  out.scenario.edge_time_s = drive.edge_time_s;
+  out.prom = std::make_unique<cnti::rom::ParametrizedBusRom>(
+      sc::to_bus_topology(s, line), sc::tech_box(s.variability),
+      drive.aggressor);
+  return out;
+}
+
+TEST(Statistical, LaneGroupingIsBitIdenticalAcrossCountsWidthsAndShards) {
+  // Samples run in lockstep groups of rom::kLanes. A sample's bits must
+  // not depend on its group partners: not on the sample count (ragged
+  // tails), the pool width, the shard split, or grouping at all.
+  const sc::Scenario s13 = statistical_scenario(13);
+  const StudyRom ref = study_rom(s13);
+  std::vector<std::uint64_t> noise, delay;
+  for (std::uint64_t i = 0; i < 13; ++i) {
+    const auto r = ref.prom->evaluate(sc::sample_tech_point(s13.variability, i),
+                                      ref.scenario, s13.analysis.time_steps);
+    noise.push_back(std::bit_cast<std::uint64_t>(r.peak_noise_v));
+    delay.push_back(std::bit_cast<std::uint64_t>(r.aggressor_delay_s));
+  }
+  const auto expect_samples = [&](const sc::StatisticalShard& shard,
+                                  const std::string& what) {
+    for (std::size_t i = 0; i < shard.noise_v.size(); ++i) {
+      const std::size_t id = static_cast<std::size_t>(shard.begin) + i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shard.noise_v[i]), noise[id])
+          << what << " sample " << id;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(shard.delay_s[i]), delay[id])
+          << what << " sample " << id;
+    }
+  };
+  for (const int threads : {1, 2, 5}) {
+    sc::EngineOptions opt;
+    opt.sweep.threads = threads;
+    const sc::ScenarioEngine engine(opt);
+    for (const int n : {1, 3, 4, 5, 7, 13}) {
+      const auto shard = engine.run_statistical(statistical_scenario(n));
+      ASSERT_EQ(shard.noise_v.size(), static_cast<std::size_t>(n));
+      expect_samples(shard, "threads " + std::to_string(threads) + " n " +
+                                std::to_string(n));
+    }
+    std::vector<sc::StatisticalShard> parts;
+    for (std::uint64_t k = 0; k < 3; ++k) {
+      const auto [lo, hi] = sc::shard_range(13, k, 3);
+      parts.push_back(engine.run_statistical(s13, lo, hi));
+      expect_samples(parts.back(), "shard " + std::to_string(k));
+    }
+    EXPECT_EQ(study_bytes(sc::reduce_shards(std::move(parts))),
+              study_bytes(sc::reduce_shards({engine.run_statistical(s13)})));
+  }
+
+  // Hex pins from the scalar sample loop (before lane groups): any
+  // reassociation of the ROM arithmetic moves them.
+  const std::pair<std::size_t, std::uint64_t> noise_pins[] = {
+      {0, 0x3fb7eb15eed56cd4ULL}, {3, 0x3fb750fbea3cf35bULL},
+      {4, 0x3fba600102b5d52eULL}, {7, 0x3fbc1bd900a82192ULL},
+      {12, 0x3fba0ee2ab3f8e96ULL}};
+  const std::pair<std::size_t, std::uint64_t> delay_pins[] = {
+      {0, 0x3de34ca6ae7c5aabULL}, {3, 0x3de366926357cb76ULL},
+      {4, 0x3de3d936f08d57b9ULL}, {7, 0x3de3cb7c1cba7e2aULL},
+      {12, 0x3de3af64da9a1a7dULL}};
+  for (const auto& [id, pin] : noise_pins) EXPECT_EQ(noise[id], pin) << id;
+  for (const auto& [id, pin] : delay_pins) EXPECT_EQ(delay[id], pin) << id;
 }
 
 TEST(Statistical, ShardedRunsMergeBitIdenticalToTheFullRange) {

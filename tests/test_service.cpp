@@ -643,6 +643,27 @@ TEST(ScenarioService, PingStatsAndShutdownRequest) {
   server.stop();
 }
 
+TEST(ScenarioService, StartStopLoopReleasesTheListener) {
+  // stop() shuts the listener down, joins the accept loop and only then
+  // closes the descriptor, so the loop never reads a descriptor stop() is
+  // rewriting (the sanitize-thread job runs this binary under TSan).
+  for (int round = 0; round < 12; ++round) {
+    sv::ScenarioServer server(sv::ServerOptions{});
+    server.start();
+    const std::uint16_t port = server.port();
+    ASSERT_GT(port, 0);
+    if (round % 2 == 0) {
+      sv::ScenarioClient client(port);
+      EXPECT_TRUE(client.ping());
+    }
+    server.stop();
+    server.stop();  // idempotent
+    RawConnection late(port);
+    EXPECT_FALSE(late.ok()) << "listener still open after stop(), round "
+                            << round;
+  }
+}
+
 TEST(ScenarioService, MalformedRequestsErrorAndKeepTheConnectionUsable) {
   sv::ScenarioServer server(sv::ServerOptions{});
   server.start();
