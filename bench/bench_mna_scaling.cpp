@@ -5,10 +5,11 @@
 // refactorization handles in near O(nnz) per factorization.
 //
 // The full 1000-step transient on the 16 x 128 paper bus reports its
-// end-to-end wall clock and how many sparse LU factorizations and solves
-// it ran: the bus is linear, so DC and the transient share one pattern,
-// each distinct matrix is factored once and each step takes one solve
-// (scripts/bench_gate.sh gates both counts). A size ladder then climbs
+// end-to-end wall clock and how many matrix stamps, sparse LU
+// factorizations and solves it ran: the bus is linear, so DC and the
+// transient share one pattern, each distinct matrix is stamped and factored
+// once and each step builds only its right-hand side and takes one solve
+// (scripts/bench_gate.sh gates all three counts). A size ladder then climbs
 // into the 10^4-10^5-unknown regime: each rung reports the transient
 // wall-clock plus the AMD-vs-natural nnz(L+U) of its shifted MNA pencil.
 #include "bench_common.hpp"
@@ -60,32 +61,40 @@ double solve_count() {
   return static_cast<double>(obs::counter("cnti.solver.solves").value());
 }
 
+double matrix_stamp_count() {
+  return static_cast<double>(obs::counter("cnti.mna.matrix_stamps").value());
+}
+
 void print_reproduction() {
   bench::json().set_name("bench_mna_scaling");
   bench::print_header(
       "MNA engine scaling — sparse LU on coupled CNT buses",
-      "A 1000-step transient on the 16 x 128 paper bus with its LU "
-      "factorization and solve counts, then a size ladder (DC + 20 "
+      "A 1000-step transient on the 16 x 128 paper bus with its matrix "
+      "stamp, LU factorization and solve counts, then a size ladder (DC + 20 "
       "trapezoidal steps) with the AMD-vs-natural factor fill of each "
       "rung's MNA pencil.");
 
   // The call's counts are deterministic: DC and the trapezoidal companion
   // matrix are the only distinct matrices, and every step takes one solve.
   circuit::BusCrosstalkResult full;
+  const double stamps_before = matrix_stamp_count();
   const double factorizations_before = factorization_count();
   const double solves_before = solve_count();
   const double tfull = timed_bus_seconds(16, 128, 1000, &full);
+  const double stamps = matrix_stamp_count() - stamps_before;
   const double factorizations = factorization_count() - factorizations_before;
   const double solves = solve_count() - solves_before;
   std::cout << "\nFull 1000-step transient, 16 x 128 bus ("
             << full.unknowns << " unknowns): " << Table::num(tfull, 4)
-            << " s, " << static_cast<long long>(factorizations)
+            << " s, " << static_cast<long long>(stamps) << " matrix stamps, "
+            << static_cast<long long>(factorizations)
             << " LU factorizations, " << static_cast<long long>(solves)
             << " solves, worst victim line " << full.worst_victim
             << ", noise " << Table::num(full.peak_noise_v * 1e3, 4)
             << " mV\n";
   bench::json().set("unknowns", full.unknowns);
   bench::json().set("bus_transient_s_16x128", tfull);
+  bench::json().set("bus_matrix_stamps_16x128", stamps);
   bench::json().set("bus_factorizations_16x128", factorizations);
   bench::json().set("bus_solves_16x128", solves);
   bench::json().set("full_noise_mv", full.peak_noise_v * 1e3);

@@ -60,7 +60,7 @@ echo "== metrics scrape =="
 [ -s "$work/metrics.txt" ] || { echo "--metrics printed nothing"; exit 1; }
 grep -q '^cnti_service_requests ' "$work/metrics.txt"
 grep -q '^cnti_engine_scenarios ' "$work/metrics.txt"
-grep -q '^cnti_service_request_ns_count ' "$work/metrics.txt"
+grep -q '^cnti_service_request_seconds_count ' "$work/metrics.txt"
 echo "metrics exposition OK ($(wc -l < "$work/metrics.txt") lines)"
 
 echo "== shutdown flushes the trace =="

@@ -172,6 +172,7 @@ CrosstalkResult analyze_crosstalk(const CrosstalkConfig& cfg,
           cfg.length_m,
       cfg.edge_time_s);
   opt.dt_s = opt.t_stop_s / time_steps;
+  opt.probes = {pair.victim_far, pair.aggressor_far};
   const TransientResult res = simulate_transient(pair.ckt, opt);
 
   CrosstalkResult out;
@@ -301,6 +302,7 @@ BusCrosstalkResult analyze_bus_crosstalk(BusNetlist bus,
   TransientOptions opt;
   opt.t_stop_s = bus_settle_time_s(topology, drive);
   opt.dt_s = opt.t_stop_s / time_steps;
+  opt.probes = far;  // the only waveforms measured below
   const TransientResult res = simulate_transient(ckt, opt);
 
   BusCrosstalkResult out;

@@ -7,6 +7,7 @@
 #include "numerics/ordering.hpp"
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
+#include "obs/obs.hpp"
 
 namespace cnti::circuit {
 
@@ -137,7 +138,9 @@ class DenseBackend {
 /// companion matrix is factored; since a replay of identical values
 /// reproduces the stored factors bit for bit, the skip never changes a
 /// result. The comparison is on bits, not operator==, so a -0.0 <-> +0.0
-/// flip or a value turning NaN still refactors.
+/// flip or a value turning NaN still refactors. When nothing was assembled
+/// since the last solve, the values are the ones that solve factored or
+/// compared equal, so the comparison itself is skipped.
 class SparseBackend {
  public:
   explicit SparseBackend(int size)
@@ -148,7 +151,10 @@ class SparseBackend {
     assembler_.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c),
                    v);
   }
-  void end() { assembler_.end(); }
+  void end() {
+    assembler_.end();
+    assembled_ = true;
+  }
 
   std::vector<double> solve(const std::vector<double>& b) {
     const numerics::SparseMatrix& a = assembler_.matrix();
@@ -158,16 +164,19 @@ class SparseBackend {
       lu_.set_column_ordering(numerics::amd_ordering(a));
       ordered_ = true;
     }
-    const std::vector<double>& values = a.values();
     // lu_.analyzed() is false after a throwing factorize(), so a failed
     // attempt is never mistaken for stored factors.
-    const bool unchanged =
-        lu_.analyzed() && factored_values_.size() == values.size() &&
-        std::memcmp(factored_values_.data(), values.data(),
-                    values.size() * sizeof(double)) == 0;
-    if (!unchanged) {
-      lu_.factorize(a);
-      factored_values_ = values;
+    if (assembled_ || !lu_.analyzed()) {
+      const std::vector<double>& values = a.values();
+      const bool unchanged =
+          lu_.analyzed() && factored_values_.size() == values.size() &&
+          std::memcmp(factored_values_.data(), values.data(),
+                      values.size() * sizeof(double)) == 0;
+      if (!unchanged) {
+        lu_.factorize(a);
+        factored_values_ = values;
+      }
+      assembled_ = false;
     }
     return lu_.solve(b);
   }
@@ -176,6 +185,7 @@ class SparseBackend {
   CsrAssembler assembler_;
   SparseLu lu_;
   bool ordered_ = false;
+  bool assembled_ = false;  ///< A pass ended since the last solve().
   std::vector<double> factored_values_;  ///< Values lu_ last factored.
 };
 
@@ -205,6 +215,13 @@ void stamp_rhs(std::vector<double>& b, int row, double v) {
 /// their trapezoidal companions; in DC mode (before begin_transient()) the
 /// same slots are stamped with zeros — capacitors open, inductors 0 V
 /// branches — so DC and every transient step assemble one pattern.
+///
+/// Assembly is two passes over the elements in one fixed order: the matrix
+/// pass stamps the Jacobian, the right-hand-side pass builds b, so every
+/// matrix slot and every b[row] takes its additions in the same order as a
+/// single combined pass would. A circuit without MOSFETs has a matrix that
+/// depends only on g_min and dt, so it is stamped once per DC point and
+/// once at the fixed timestep; every later Newton solve builds b alone.
 class Assembler {
  public:
   explicit Assembler(const Circuit& ckt)
@@ -212,15 +229,15 @@ class Assembler {
 
   const Layout& layout() const { return layout_; }
 
-  /// Assemble Jacobian and rhs at candidate solution x into `backend`.
+  /// Matrix pass: the Jacobian at candidate solution x into `backend`.
   /// The stamp stream below is a fixed sequence for a fixed circuit — the
   /// sparse backend's pattern-frozen replay depends on that.
   template <typename Backend>
-  void assemble(const std::vector<double>& x, double time_s, double gmin,
-                Backend& a, std::vector<double>& b) const {
+  void assemble_matrix(const std::vector<double>& x, double gmin,
+                       Backend& a) const {
+    static const obs::Counter stamps = obs::counter("cnti.mna.matrix_stamps");
+    stamps.add();
     a.begin();
-    b.assign(static_cast<std::size_t>(layout_.size), 0.0);
-
     for (int n = 1; n <= layout_.nodes; ++n) {
       a.add(n - 1, n - 1, gmin + kGminFloor);
     }
@@ -234,7 +251,46 @@ class Assembler {
       stamp_entry(a, Layout::nv(v.minus), br, -1.0);
       stamp_entry(a, br, Layout::nv(v.plus), 1.0);
       stamp_entry(a, br, Layout::nv(v.minus), -1.0);
-      stamp_rhs(b, br, waveform_value(v.wave, time_s));
+    }
+    for (const auto& m : ckt_.mosfets()) {
+      const MosLin lin = eval_mosfet(m.params, voltage(x, m.drain),
+                                     voltage(x, m.gate), voltage(x, m.source));
+      // Current enters drain, leaves source. All conductance stamps are
+      // issued even in cutoff (value 0) so the pattern is region-free.
+      const int rd = Layout::nv(m.drain), rs = Layout::nv(m.source);
+      stamp_entry(a, rd, Layout::nv(m.drain), lin.d_vd);
+      stamp_entry(a, rd, Layout::nv(m.gate), lin.d_vg);
+      stamp_entry(a, rd, Layout::nv(m.source), lin.d_vs);
+      stamp_entry(a, rs, Layout::nv(m.drain), -lin.d_vd);
+      stamp_entry(a, rs, Layout::nv(m.gate), -lin.d_vg);
+      stamp_entry(a, rs, Layout::nv(m.source), -lin.d_vs);
+    }
+    const bool dc = dt_ == 0.0;
+    for (const auto& c : ckt_.capacitors()) {
+      stamp_g(a, c.a, c.b, dc ? 0.0 : 2.0 * c.farads / dt_);
+    }
+    for (std::size_t k = 0; k < ckt_.inductors().size(); ++k) {
+      const auto& l = ckt_.inductors()[k];
+      const int br = layout_.ind_offset + static_cast<int>(k);
+      // Branch row: v_a - v_b - req * i = veq.
+      stamp_entry(a, Layout::nv(l.a), br, 1.0);
+      stamp_entry(a, Layout::nv(l.b), br, -1.0);
+      stamp_entry(a, br, Layout::nv(l.a), 1.0);
+      stamp_entry(a, br, Layout::nv(l.b), -1.0);
+      const double req = dc ? 0.0 : 2.0 * l.henries / dt_;
+      stamp_entry(a, br, br, -req);
+    }
+    a.end();
+  }
+
+  /// Right-hand-side pass at candidate solution x and time time_s.
+  void assemble_rhs(const std::vector<double>& x, double time_s,
+                    std::vector<double>& b) const {
+    b.assign(static_cast<std::size_t>(layout_.size), 0.0);
+    for (std::size_t k = 0; k < ckt_.vsources().size(); ++k) {
+      const auto& v = ckt_.vsources()[k];
+      stamp_rhs(b, layout_.vsrc_offset + static_cast<int>(k),
+                waveform_value(v.wave, time_s));
     }
     for (const auto& i : ckt_.isources()) {
       const double val = waveform_value(i.wave, time_s);
@@ -246,44 +302,26 @@ class Assembler {
       const double vg = voltage(x, m.gate);
       const double vs = voltage(x, m.source);
       const MosLin lin = eval_mosfet(m.params, vd, vg, vs);
-      // Current enters drain, leaves source. Norton form:
-      // i(v) ~ i0 + sum dv_k * (v_k - v_k0). All four conductance stamps
-      // are issued even in cutoff (value 0) so the pattern is region-free.
+      // Norton form: i(v) ~ i0 + sum dv_k * (v_k - v_k0).
       const double i0 =
           lin.ids - lin.d_vd * vd - lin.d_vg * vg - lin.d_vs * vs;
-      const int rd = Layout::nv(m.drain), rs = Layout::nv(m.source);
-      stamp_entry(a, rd, Layout::nv(m.drain), lin.d_vd);
-      stamp_entry(a, rd, Layout::nv(m.gate), lin.d_vg);
-      stamp_entry(a, rd, Layout::nv(m.source), lin.d_vs);
-      stamp_entry(a, rs, Layout::nv(m.drain), -lin.d_vd);
-      stamp_entry(a, rs, Layout::nv(m.gate), -lin.d_vg);
-      stamp_entry(a, rs, Layout::nv(m.source), -lin.d_vs);
-      stamp_rhs(b, rd, -i0);
-      stamp_rhs(b, rs, i0);
+      stamp_rhs(b, Layout::nv(m.drain), -i0);
+      stamp_rhs(b, Layout::nv(m.source), i0);
     }
     const bool dc = dt_ == 0.0;
     for (std::size_t k = 0; k < ckt_.capacitors().size(); ++k) {
       const auto& c = ckt_.capacitors()[k];
       const double geq = dc ? 0.0 : 2.0 * c.farads / dt_;
       const double ieq = dc ? 0.0 : geq * cap_v_prev_[k] + cap_i_prev_[k];
-      stamp_g(a, c.a, c.b, geq);
       stamp_rhs(b, Layout::nv(c.a), ieq);
       stamp_rhs(b, Layout::nv(c.b), -ieq);
     }
     for (std::size_t k = 0; k < ckt_.inductors().size(); ++k) {
       const auto& l = ckt_.inductors()[k];
-      const int br = layout_.ind_offset + static_cast<int>(k);
       const double req = dc ? 0.0 : 2.0 * l.henries / dt_;
       const double veq = dc ? 0.0 : -req * ind_i_prev_[k] - ind_v_prev_[k];
-      // Branch row: v_a - v_b - req * i = veq.
-      stamp_entry(a, Layout::nv(l.a), br, 1.0);
-      stamp_entry(a, Layout::nv(l.b), br, -1.0);
-      stamp_entry(a, br, Layout::nv(l.a), 1.0);
-      stamp_entry(a, br, Layout::nv(l.b), -1.0);
-      stamp_entry(a, br, br, -req);
-      stamp_rhs(b, br, veq);
+      stamp_rhs(b, layout_.ind_offset + static_cast<int>(k), veq);
     }
-    a.end();
   }
 
   static double voltage(const std::vector<double>& x, NodeId n) {
@@ -295,14 +333,19 @@ class Assembler {
   /// simulation), so symbolic reuse carries over timesteps. A circuit
   /// without MOSFETs assembles the same A and b at every x, so its second
   /// iteration would reproduce the first solution bit for bit: it stops
-  /// after one solve.
+  /// after one solve. Its matrix is stamped only while it is not current
+  /// (see dc() and begin_transient()); the backend still holds it.
   template <typename Backend>
   std::vector<double> newton(Backend& backend, std::vector<double> x,
                              double time_s, double gmin, int max_iter,
-                             double tol, int* iterations_out = nullptr) const {
+                             double tol, int* iterations_out = nullptr) {
     std::vector<double> b;
     for (int it = 0; it < max_iter; ++it) {
-      assemble(x, time_s, gmin, backend, b);
+      if (!matrix_current_) {
+        assemble_matrix(x, gmin, backend);
+        matrix_current_ = linear_;
+      }
+      assemble_rhs(x, time_s, b);
       std::vector<double> x_new = backend.solve(b);
       double delta = 0.0;
       for (std::size_t i = 0; i < x.size(); ++i) {
@@ -320,14 +363,18 @@ class Assembler {
   /// DC operating point at `time_s` (DC mode only). MOSFET circuits step
   /// g_min down from a strong shunt, each stage seeding the next; a linear
   /// circuit's solution does not depend on the seed, so it runs only the
-  /// final g_min = 0 stage.
+  /// final g_min = 0 stage. Every stage stamps its matrix afresh, so a
+  /// caller may change element values between calls.
   template <typename Backend>
   std::vector<double> dc(Backend& backend, double time_s,
-                         int* iterations_out) const {
+                         int* iterations_out) {
+    static const obs::Histogram dc_hist = obs::histogram("cnti.mna.dc_ns");
+    const obs::ObsSpan span("mna.dc", "circuit", dc_hist);
     std::vector<double> x(static_cast<std::size_t>(layout_.size), 0.0);
     int total = 0;
     for (const double gmin : {1e-3, 1e-6, 1e-9, 0.0}) {
       if (linear_ && gmin != 0.0) continue;
+      matrix_current_ = false;
       int iters = 0;
       x = newton(backend, std::move(x), time_s, gmin, kDcMaxNewton,
                  kDcNewtonTolerance, &iters);
@@ -342,6 +389,7 @@ class Assembler {
   /// inductor voltages are zero in steady state).
   void begin_transient(double dt, const std::vector<double>& x) {
     dt_ = dt;
+    matrix_current_ = false;
     cap_v_prev_.resize(ckt_.capacitors().size());
     cap_i_prev_.assign(ckt_.capacitors().size(), 0.0);
     ind_i_prev_.resize(ckt_.inductors().size());
@@ -376,13 +424,16 @@ class Assembler {
   Layout layout_;
   bool linear_;
   double dt_ = 0.0;  ///< 0 in DC mode.
+  /// The backend holds this circuit's matrix at the current g_min and dt
+  /// (only ever set for a linear circuit).
+  bool matrix_current_ = false;
   // Reactive-element history of the last accepted step.
   std::vector<double> cap_v_prev_, cap_i_prev_;
   std::vector<double> ind_i_prev_, ind_v_prev_;
 };
 
 template <typename Backend>
-DcResult solve_dc_with(const Assembler& assembler, Backend& backend,
+DcResult solve_dc_with(Assembler& assembler, Backend& backend,
                        double time_s) {
   const Layout& layout = assembler.layout();
   DcResult out;
@@ -407,9 +458,30 @@ TransientResult simulate_transient_with(const Circuit& ckt,
   CNTI_EXPECTS(std::isfinite(opt.dt_s) && opt.dt_s > 0 &&
                    opt.dt_s < opt.t_stop_s,
                "transient: dt_s must be finite, > 0 and below t_stop_s");
+  static const obs::Histogram transient_hist =
+      obs::histogram("cnti.mna.transient_ns");
+  const obs::ObsSpan span("mna.transient", "circuit", transient_hist);
   Assembler assembler(ckt);
   const Layout& layout = assembler.layout();
   const double dt = opt.dt_s;
+
+  // Recorded nodes in first-named order: the caller's probes, or every
+  // node. slot[node] is the node's row in the waveform table, -1 if absent.
+  std::vector<int> slot(static_cast<std::size_t>(layout.nodes) + 1, -1);
+  std::vector<NodeId> recorded;
+  const auto add_probe = [&](NodeId n) {
+    CNTI_EXPECTS(n >= 0 && n <= layout.nodes,
+                 "transient: probe node id out of range");
+    int& s = slot[static_cast<std::size_t>(n)];
+    if (s >= 0) return;
+    s = static_cast<int>(recorded.size());
+    recorded.push_back(n);
+  };
+  if (opt.probes.empty()) {
+    for (NodeId n = 0; n <= layout.nodes; ++n) add_probe(n);
+  } else {
+    for (const NodeId n : opt.probes) add_probe(n);
+  }
 
   // Initial condition: the DC operating point at t = 0, the first solve on
   // the backend every step then reuses.
@@ -422,14 +494,12 @@ TransientResult simulate_transient_with(const Circuit& ckt,
   const auto steps = static_cast<std::size_t>(
       std::ceil(opt.t_stop_s / dt - 1e-9)) + 1;
   std::vector<double> time(steps);
-  std::vector<std::vector<double>> volt(
-      static_cast<std::size_t>(layout.nodes) + 1,
-      std::vector<double>(steps, 0.0));
+  std::vector<std::vector<double>> volt(recorded.size(),
+                                        std::vector<double>(steps));
   const auto record = [&](std::size_t step, double t) {
     time[step] = t;
-    for (int n = 1; n <= layout.nodes; ++n) {
-      volt[static_cast<std::size_t>(n)][step] =
-          x[static_cast<std::size_t>(n - 1)];
+    for (std::size_t k = 0; k < recorded.size(); ++k) {
+      volt[k][step] = Assembler::voltage(x, recorded[k]);
     }
   };
   record(0, 0.0);
@@ -442,10 +512,44 @@ TransientResult simulate_transient_with(const Circuit& ckt,
     record(step, t);
   }
 
-  return TransientResult(std::move(time), std::move(volt));
+  return TransientResult(std::move(time), std::move(slot), std::move(volt));
 }
 
 }  // namespace
+
+TransientResult::TransientResult(std::vector<double> time,
+                                 std::vector<std::vector<double>> voltages)
+    : time_(std::move(time)),
+      slot_(voltages.size()),
+      voltages_(std::move(voltages)) {
+  for (std::size_t n = 0; n < slot_.size(); ++n) {
+    slot_[n] = static_cast<int>(n);
+  }
+}
+
+TransientResult::TransientResult(std::vector<double> time,
+                                 std::vector<int> slot_of_node,
+                                 std::vector<std::vector<double>> voltages)
+    : time_(std::move(time)),
+      slot_(std::move(slot_of_node)),
+      voltages_(std::move(voltages)) {
+  for (const int s : slot_) {
+    CNTI_EXPECTS(s < static_cast<int>(voltages_.size()),
+                 "TransientResult: slot outside the waveform table");
+  }
+}
+
+const std::vector<double>& TransientResult::voltage(NodeId node) const {
+  CNTI_EXPECTS(node >= 0 && node < static_cast<NodeId>(slot_.size()),
+               "node id out of range");
+  const int s = slot_[static_cast<std::size_t>(node)];
+  if (s < 0) {
+    throw PreconditionError("transient: node " + std::to_string(node) +
+                            " was not recorded (name it in "
+                            "TransientOptions::probes)");
+  }
+  return voltages_[static_cast<std::size_t>(s)];
+}
 
 struct DcSolver::Impl {
   Assembler assembler;
@@ -478,7 +582,7 @@ TransientResult simulate_transient(const Circuit& ckt,
 namespace reference {
 
 DcResult solve_dc(const Circuit& ckt, double time_s) {
-  const Assembler assembler(ckt);
+  Assembler assembler(ckt);
   DenseBackend backend(assembler.layout().size);
   return solve_dc_with(assembler, backend, time_s);
 }

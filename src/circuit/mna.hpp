@@ -5,10 +5,11 @@
 // refactorized only when the assembled values change. A transient runs its
 // initial DC point on its own backend, and DC stamps the reactive companion
 // slots as zeros, so the whole call shares one pattern, one ordering and
-// one symbolic analysis; a linear circuit at its fixed timestep factors
-// once and back-substitutes every step. `reference::` replays the same
-// stamping and Newton on a dense LU for differential tests. See
-// docs/CIRCUIT_SOLVERS.md.
+// one symbolic analysis. A circuit without MOSFETs stamps its matrix once
+// for DC and once at its fixed timestep, then builds only the right-hand
+// side and back-substitutes every step; the transient records only the
+// nodes its caller names. `reference::` replays the same stamping and
+// Newton on a dense LU for differential tests. See docs/CIRCUIT_SOLVERS.md.
 #pragma once
 
 #include <memory>
@@ -52,34 +53,40 @@ class DcSolver {
 };
 
 /// Trapezoidal transient on a fixed grid: 0, dt, 2 dt, ... up to t_stop.
-/// Both fields must be finite, with 0 < dt_s < t_stop_s.
+/// Both time fields must be finite, with 0 < dt_s < t_stop_s.
 struct TransientOptions {
   double t_stop_s = 1e-9;
   double dt_s = 1e-12;
+  /// Node voltages to record (ground allowed, duplicates ignored); empty
+  /// records every node. A caller that reads a few nodes of a large
+  /// circuit names them here and skips the full [node][step] table.
+  std::vector<NodeId> probes;
 };
 
-/// Transient waveforms for every node (indexed by NodeId; ground included
-/// as all-zeros).
+/// Transient waveforms of the recorded nodes, looked up by NodeId (ground
+/// records as all-zeros).
 class TransientResult {
  public:
+  /// Every node recorded: voltages[node][step] for node 0..N.
   TransientResult(std::vector<double> time,
-                  std::vector<std::vector<double>> voltages)
-      : time_(std::move(time)), voltages_(std::move(voltages)) {}
+                  std::vector<std::vector<double>> voltages);
+  /// Recorded subset: voltages[slot_of_node[node]][step], where
+  /// slot_of_node[node] < 0 marks a node that was not recorded.
+  TransientResult(std::vector<double> time, std::vector<int> slot_of_node,
+                  std::vector<std::vector<double>> voltages);
 
   const std::vector<double>& time() const { return time_; }
 
-  const std::vector<double>& voltage(NodeId node) const {
-    CNTI_EXPECTS(node >= 0 &&
-                     node < static_cast<NodeId>(voltages_.size()),
-                 "node id out of range");
-    return voltages_[static_cast<std::size_t>(node)];
-  }
+  /// Throws PreconditionError for an id outside the circuit or a node
+  /// that was not recorded (the message names the node id).
+  const std::vector<double>& voltage(NodeId node) const;
 
   std::size_t steps() const { return time_.size(); }
 
  private:
   std::vector<double> time_;
-  std::vector<std::vector<double>> voltages_;  // [node][step]
+  std::vector<int> slot_;                      // [node] -> row, -1 = absent
+  std::vector<std::vector<double>> voltages_;  // [slot][step]
 };
 
 TransientResult simulate_transient(const Circuit& ckt,

@@ -418,7 +418,13 @@ void write_metrics_prometheus(std::ostream& out, const MetricsSnapshot& snap) {
         << pn << " " << json_number(value) << "\n";
   }
   for (const auto& [name, h] : snap.histograms) {
-    const std::string pn = prometheus_name(name);
+    // The exposition is in seconds, so a registry name's `_ns` unit suffix
+    // becomes `_seconds` (the registry and the JSON keep `_ns`).
+    std::string_view base = name;
+    const bool in_ns = base.ends_with("_ns");
+    if (in_ns) base.remove_suffix(3);
+    const std::string pn =
+        prometheus_name(std::string(base) + (in_ns ? "_seconds" : ""));
     out << "# TYPE " << pn << " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < kHistogramBuckets; ++b) {

@@ -27,6 +27,46 @@ std::vector<double> column(const MatrixD& m, int c) {
   return out;
 }
 
+/// True when adding +-0 could change a value of the row: it holds a -0.0
+/// (-0 + +0 is +0) or a NaN (whose payload an add may rewrite).
+bool adding_zero_changes(const double* row, std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if ((row[j] == 0.0 && std::signbit(row[j])) || std::isnan(row[j])) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Row i of fold_terminations for one matrix: for each load in order,
+/// row[j] += (load.*value * Br(i, in)) * Lr(j, out), bit-identical to the
+/// documented arithmetic, which applies every load and skips zero Br and
+/// Lr entries. The terms this loop adds or drops instead are all +-0
+/// (finite inputs), and adding +-0 leaves a value unchanged unless it is
+/// -0.0 or NaN. A sum is -0.0 only when both operands are, so a row
+/// without either never gains one: it skips loads whose value is 0 and
+/// runs the branch-free (vectorizable) update. A row that holds one, or a
+/// product that overflows, keeps the zero-entry skip.
+void fold_row(double* row, std::size_t q, std::size_t i,
+              double PortTermination::*value, const MatrixD& br,
+              const MatrixD& lr_t, const std::vector<PortTermination>& loads) {
+  const bool exact = adding_zero_changes(row, q);
+  for (const auto& load : loads) {
+    const double bi = br(i, static_cast<std::size_t>(load.input));
+    if (bi == 0.0 || (load.*value == 0.0 && !exact)) continue;
+    const double fb = load.*value * bi;
+    const double* lj = &lr_t(static_cast<std::size_t>(load.output), 0);
+    if (exact || !std::isfinite(fb)) {
+      for (std::size_t j = 0; j < q; ++j) {
+        if (lj[j] == 0.0) continue;
+        row[j] += fb * lj[j];
+      }
+    } else {
+      for (std::size_t j = 0; j < q; ++j) row[j] += fb * lj[j];
+    }
+  }
+}
+
 }  // namespace
 
 ReducedModel::ReducedModel(MatrixD gr, MatrixD cr, MatrixD br, MatrixD lr,
@@ -88,29 +128,28 @@ void fold_terminations(MatrixD& g, MatrixD& c, const MatrixD& br,
     CNTI_EXPECTS(
         load.output >= 0 && load.output < static_cast<int>(lr_t.rows()),
         "terminated: output index out of range");
-    CNTI_EXPECTS(load.conductance_s >= 0 && load.capacitance_f >= 0,
-                 "terminated: shunt elements must be >= 0");
+    CNTI_EXPECTS(std::isfinite(load.conductance_s) &&
+                     std::isfinite(load.capacitance_f) &&
+                     load.conductance_s >= 0 && load.capacitance_f >= 0,
+                 "terminated: shunt elements must be finite and >= 0");
+    for (std::size_t i = 0; i < q; ++i) {
+      CNTI_EXPECTS(std::isfinite(br(i, static_cast<std::size_t>(load.input))),
+                   "terminated: Br has a non-finite entry in a loaded input");
+      CNTI_EXPECTS(
+          std::isfinite(lr_t(static_cast<std::size_t>(load.output), i)),
+          "terminated: Lr has a non-finite entry in a loaded output");
+    }
   }
   // i_port = -(g + s c) v_port folds as the rank-1 congruence update
   // b l^T — exactly V^T (G_full + g e e^T) V when input and output map
   // the same node, so the terminated model is still a projection of a
   // passive network. Row by row with the loads inside: each entry still
-  // takes its updates in load order.
+  // takes its updates in load order. On the bus every driver load has no
+  // capacitance and every receiver load no conductance, so each matrix
+  // takes half of the loads.
   for (std::size_t i = 0; i < q; ++i) {
-    double* gi = &g(i, 0);
-    double* ci = &c(i, 0);
-    for (const auto& load : loads) {
-      const double bi = br(i, static_cast<std::size_t>(load.input));
-      if (bi == 0.0) continue;
-      const double gb = load.conductance_s * bi;
-      const double cb = load.capacitance_f * bi;
-      const double* lj = &lr_t(static_cast<std::size_t>(load.output), 0);
-      for (std::size_t j = 0; j < q; ++j) {
-        if (lj[j] == 0.0) continue;
-        gi[j] += gb * lj[j];
-        ci[j] += cb * lj[j];
-      }
-    }
+    fold_row(&g(i, 0), q, i, &PortTermination::conductance_s, br, lr_t, loads);
+    fold_row(&c(i, 0), q, i, &PortTermination::capacitance_f, br, lr_t, loads);
   }
 }
 

@@ -137,7 +137,8 @@ class ReducedModel {
 /// (conductance * Br(i, in)) * Lr(j, out) and likewise c with the
 /// capacitance, skipping zero Br / Lr entries. `lr_t` is Lr transposed
 /// (outputs x q), so the update runs along contiguous rows. Every load is
-/// validated before any is applied.
+/// validated before any is applied: its values must be finite and >= 0,
+/// and the Br column and Lr row it uses finite (PreconditionError).
 void fold_terminations(numerics::MatrixD& g, numerics::MatrixD& c,
                        const numerics::MatrixD& br,
                        const numerics::MatrixD& lr_t,

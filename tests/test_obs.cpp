@@ -178,6 +178,32 @@ TEST(Metrics, PrometheusRenderingIsCumulativeAndComplete) {
       << "metric names must be sanitized for Prometheus";
 }
 
+TEST(Metrics, PrometheusNamesNanosecondHistogramsInSeconds) {
+  // Buckets and sums are exposed in seconds, so the `_ns` registry name
+  // must not reach the exposition; the JSON form keeps `_ns` and ns.
+  const obs::Histogram h = obs::histogram("cnti.test.prom_unit_ns");
+  h.record_ns(1500);
+  const obs::MetricsSnapshot snap = obs::metrics_snapshot();
+  std::ostringstream prom;
+  obs::write_metrics_prometheus(prom, snap);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("# TYPE cnti_test_prom_unit_seconds histogram\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("cnti_test_prom_unit_seconds_bucket{le=\"+Inf\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cnti_test_prom_unit_seconds_sum 1.5e-06\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cnti_test_prom_unit_seconds_count 1\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("cnti_test_prom_unit_ns"), std::string::npos) << text;
+
+  std::ostringstream json;
+  obs::write_metrics_json(json, snap);
+  EXPECT_NE(json.str().find("\"cnti.test.prom_unit_ns\""), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Spans and trace sessions.
 

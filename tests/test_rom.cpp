@@ -889,4 +889,105 @@ TEST(RomPins, TransientBitsAreUnchangedByTheLaneKernel) {
   EXPECT_EQ(bits(dc.outputs[5][200]), 0x3fe48bc37ea350e7ULL);
 }
 
+// fold_terminations on a hand-built 5 x 5 model with -0.0 entries in G
+// row 1 and C row 3, zero and -0.0 Br/Lr entries, and loads whose
+// conductance, capacitance or both are zero. The pins come from the loop
+// that applied every load to both matrices and skipped zero Lr entries;
+// g(1, 4) stays -0.0 there and c(3, 0) turns +0.0, so a fold that adds
+// +-0 to a -0.0 row, or drops such an add, moves a bit.
+struct FoldCase {
+  cnti::numerics::MatrixD g{5, 5}, c{5, 5}, br{5, 3}, lr_t{3, 5};
+  std::vector<rom::PortTermination> loads = {{0, 0, 2.5e-3, 0.0},
+                                             {1, 1, 0.0, 1.5e-15},
+                                             {2, 2, 0.0, 0.0},
+                                             {0, 2, 1e-4, 3e-16},
+                                             {2, 1, 7e-3, 0.0}};
+  FoldCase() {
+    for (std::size_t i = 0; i < 5; ++i) {
+      for (std::size_t j = 0; j < 5; ++j) {
+        g(i, j) = 0.25 * static_cast<double>(i + 1) -
+                  0.125 * static_cast<double>(j);
+        c(i, j) = 1e-15 * (static_cast<double>(i) -
+                           0.5 * static_cast<double>(j));
+      }
+    }
+    g(1, 2) = -0.0;
+    g(1, 4) = -0.0;
+    c(3, 0) = -0.0;
+    c(3, 3) = -0.0;
+    g(4, 4) = 0.0;
+    const double bv[5][3] = {{0.5, 0.0, -0.25},
+                             {-0.75, 0.125, 0.0},
+                             {0.0, 0.0, 0.0},
+                             {0.3125, -0.0, 1.5},
+                             {-1.25, 2.0, 0.0625}};
+    const double lv[3][5] = {{0.5, -0.0, 0.0, 1.0, -0.0},
+                             {0.0, 0.75, 1.0, 0.0, -0.25},
+                             {-0.0, 0.0, 0.5, 0.0, -0.0}};
+    for (std::size_t i = 0; i < 5; ++i) {
+      for (std::size_t k = 0; k < 3; ++k) br(i, k) = bv[i][k];
+    }
+    for (std::size_t k = 0; k < 3; ++k) {
+      for (std::size_t j = 0; j < 5; ++j) lr_t(k, j) = lv[k][j];
+    }
+  }
+};
+
+TEST(RomPins, FoldTerminationsKeepsSignedZeroBits) {
+  FoldCase f;
+  rom::fold_terminations(f.g, f.c, f.br, f.lr_t, f.loads);
+  const std::uint64_t g_pins[5][5] = {
+      {0x3fd00a3d70a3d70a, 0x3fbfa9fbe76c8b44, 0xbf5c432ca57a786c,
+       0xbfbfae147ae147ae, 0xbfcff1a9fbe76c8b},
+      {0x3fdff0a3d70a3d71, 0x3fd8000000000000, 0xbf03a92a30553262,
+       0x3fbf851eb851eb85, 0x8000000000000000},
+      {0x3fe8000000000000, 0x3fe4000000000000, 0x3fe0000000000000,
+       0x3fd8000000000000, 0x3fd0000000000000},
+      {0x3ff001999999999a, 0x3fec4083126e978d, 0x3fe85624dd2f1a9f,
+       0x3fe4066666666666, 0x3fdfd4fdf3b645a2},
+      {0x3ff3f9999999999a, 0x3ff2015810624dd3, 0x3ff00189374bc6a8,
+       0x3febe66666666666, 0xbf1cac083126e979}};
+  const std::uint64_t c_pins[5][5] = {
+      {0x0000000000000000, 0xbcc203af9ee75616, 0xbcd0a9cf3fc92fa1,
+       0xbcdb05876e5b0121, 0xbce203af9ee75616},
+      {0x3cd203af9ee75616, 0x3cc714b90398664c, 0x3c959e05f1e2674c,
+       0xbcc203af9ee75616, 0xbcd2dbdbda5a2e1f},
+      {0x3ce203af9ee75616, 0x3cdb05876e5b0121, 0x3cd203af9ee75616,
+       0x3cc203af9ee75616, 0x0000000000000000},
+      {0x0000000000000000, 0x3ce6849b86a12b9c, 0x3ce26fc5bca0c21a,
+       0x0000000000000000, 0x3cd203af9ee75616},
+      {0x3cf203af9ee75616, 0x3cf9e54c746c8bbf, 0x3cfa2d5b32e82917,
+       0x3ce6849b86a12b9c, 0x3cd6849b86a12b9c}};
+  for (std::size_t i = 0; i < 5; ++i) {
+    for (std::size_t j = 0; j < 5; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(f.g(i, j)), g_pins[i][j])
+          << "g(" << i << ", " << j << ")";
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(f.c(i, j)), c_pins[i][j])
+          << "c(" << i << ", " << j << ")";
+    }
+  }
+}
+
+TEST(RomPins, FoldTerminationsRejectsNonFiniteInputsByName) {
+  const auto expect_named = [](FoldCase f, const char* what) {
+    try {
+      rom::fold_terminations(f.g, f.c, f.br, f.lr_t, f.loads);
+      ADD_FAILURE() << "expected a PreconditionError naming " << what;
+    } catch (const cnti::PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  FoldCase br_inf;
+  br_inf.br(3, 1) = inf;  // input 1 is loaded (conductance 0: 0 * inf)
+  expect_named(br_inf, "Br has a non-finite entry");
+  FoldCase lr_nan;
+  lr_nan.lr_t(2, 0) = std::numeric_limits<double>::quiet_NaN();
+  expect_named(lr_nan, "Lr has a non-finite entry");
+  FoldCase load_inf;
+  load_inf.loads[1].capacitance_f = inf;
+  expect_named(load_inf, "shunt elements must be finite");
+}
+
 }  // namespace

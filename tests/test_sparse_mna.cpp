@@ -650,4 +650,204 @@ TEST(FactorOnce, SkippedRefactorsLeaveBusKpisBitIdentical) {
   EXPECT_EQ(bits(r.aggressor_delay_s), bits(0x1.7501263ff13f6p-33));
 }
 
+// ---------------------------------------------------------------------------
+// Stamp once: a linear circuit stamps each distinct matrix once and builds
+// only the right-hand side afterwards; MOSFET circuits stamp every Newton
+// iteration.
+// ---------------------------------------------------------------------------
+
+std::uint64_t matrix_stamp_count() {
+  return cnti::obs::counter("cnti.mna.matrix_stamps").value();
+}
+
+TEST(FactorOnce, LinearBusStampsItsMatrixOncePerDistinctMatrix) {
+  // One matrix pass for the DC point and one at the fixed timestep; the
+  // 400 steps after the first build only b.
+  const std::uint64_t m0 = matrix_stamp_count();
+  (void)cir::analyze_bus_crosstalk(linear_bus(), 400);
+  EXPECT_EQ(matrix_stamp_count() - m0, 2u);
+}
+
+TEST(FactorOnce, MosfetCircuitStampsEveryNewtonIteration) {
+  // A MOSFET's conductances move with the operating point, so every Newton
+  // iteration of every g_min stage stamps the matrix again.
+  cir::Circuit ckt;
+  const cir::Technology45nm tech;
+  const auto vdd = ckt.node("vdd");
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.add_vsource("vsupply", vdd, 0, cir::DcWave{tech.vdd_v});
+  ckt.add_vsource("vi", in, 0, cir::DcWave{0.4});
+  cir::add_inverter(ckt, "inv", in, out, vdd, tech);
+  const std::uint64_t m0 = matrix_stamp_count();
+  const cir::DcResult dc = cir::solve_dc(ckt);
+  ASSERT_GT(dc.newton_iterations, 4);
+  EXPECT_EQ(matrix_stamp_count() - m0,
+            static_cast<std::uint64_t>(dc.newton_iterations));
+}
+
+TEST(FactorOnce, DcSolverStampsOnEveryCall) {
+  // DcSolver's caller may change element values between solves, so each
+  // solve stamps afresh even for a linear circuit.
+  cir::Circuit ckt = make_rc_ladder(6, 100.0, 1e-15);
+  cir::DcSolver solver(ckt);
+  const std::uint64_t m0 = matrix_stamp_count();
+  (void)solver.solve();
+  (void)solver.solve();
+  EXPECT_EQ(matrix_stamp_count() - m0, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// 16 x 128 bus pins. The line constants are the paper MWCNT line of the
+// repository benchmark, written as decimals that round-trip to the same
+// doubles, so the transient uses only IEEE basic arithmetic and the bits
+// do not depend on the platform's libm. The values were produced by the
+// engine that stamped its matrix on every step and recorded every node.
+// ---------------------------------------------------------------------------
+
+cir::BusConfig bus_16x128(int aggressor) {
+  cir::BusConfig cfg;
+  cfg.line = {20358.511214712562, 35851121.471256271, 4.9290578887627698e-11,
+              0.00044976971790443288};
+  cfg.coupling_cap_per_m = 30e-12;
+  cfg.length_m = 100e-6;
+  cfg.lines = 16;
+  cfg.segments = 128;
+  cfg.aggressor = aggressor;
+  return cfg;
+}
+
+/// The bare 16 x 128 bus with the terminations analyze_bus_crosstalk
+/// attaches for `aggressor`, and its 1000-step transient grid.
+cir::BusNetlist driven_bus_16x128(int aggressor, cir::TransientOptions* opt) {
+  const cir::BusConfig cfg = bus_16x128(aggressor);
+  cir::BusNetlist bus = cir::build_bus_netlist(cfg);
+  const cir::NodeId in = bus.ckt.node("bus_in");
+  bus.ckt.add_vsource("vbus", in, 0,
+                      cir::bus_edge_wave(cfg.vdd_v, cfg.edge_time_s));
+  for (int l = 0; l < cfg.lines; ++l) {
+    const auto k = static_cast<std::size_t>(l);
+    bus.ckt.add_resistor("rdrv" + std::to_string(l), l == aggressor ? in : 0,
+                         bus.head[k], cfg.driver_ohm);
+    bus.ckt.add_capacitor("cl" + std::to_string(l), bus.far[k], 0,
+                          cfg.receiver_load_f);
+  }
+  opt->t_stop_s = cir::bus_settle_time_s(cfg);
+  opt->dt_s = opt->t_stop_s / 1000;
+  return bus;
+}
+
+/// FNV-1a over the bytes of every node's waveform, nodes in id order.
+std::uint64_t waveform_digest(const cir::TransientResult& res,
+                              cir::NodeId node_count) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (cir::NodeId n = 0; n <= node_count; ++n) {
+    for (const double v : res.voltage(n)) {
+      const auto u = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (u >> (8 * byte)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Bus16x128Pins, KpiBitsAtFourAggressors) {
+  struct Pin {
+    int aggressor;
+    int victim;
+    std::uint64_t noise, peak_time, delay;
+  };
+  const std::array<Pin, 4> pins = {{
+      {0, 1, 0x3fbf814991156e72, 0x3df10008d48fb139, 0x3debd094bcba52ed},
+      {3, 4, 0x3fbb4002e9a77cc4, 0x3df25409852aeb11, 0x3deff7bdca037734},
+      {7, 6, 0x3fbb403f92f3c1c2, 0x3df25409852aeb11, 0x3deff79be4c72322},
+      {12, 11, 0x3fbb4002e9a79909, 0x3df25409852aeb11, 0x3deff7bdca038327},
+  }};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Pin& pin : pins) {
+    const cir::BusCrosstalkResult r =
+        cir::analyze_bus_crosstalk(bus_16x128(pin.aggressor), 1000);
+    EXPECT_EQ(r.unknowns, 2098);
+    EXPECT_EQ(r.worst_victim, pin.victim) << "aggressor " << pin.aggressor;
+    EXPECT_EQ(bits(r.peak_noise_v), pin.noise) << "aggressor " << pin.aggressor;
+    EXPECT_EQ(bits(r.peak_time_s), pin.peak_time)
+        << "aggressor " << pin.aggressor;
+    EXPECT_EQ(bits(r.aggressor_delay_s), pin.delay)
+        << "aggressor " << pin.aggressor;
+  }
+}
+
+TEST(Bus16x128Pins, FullRecordingDigest) {
+  cir::TransientOptions opt;
+  const cir::BusNetlist bus = driven_bus_16x128(5, &opt);
+  const cir::TransientResult res = cir::simulate_transient(bus.ckt, opt);
+  ASSERT_EQ(res.steps(), 1001u);
+  EXPECT_EQ(waveform_digest(res, bus.ckt.node_count()), 0x10d7f076acd7fc03ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Probe recording: a transient records only the nodes its caller names.
+// ---------------------------------------------------------------------------
+
+TEST(TransientProbes, RecordedNodesMatchFullRecordingBitForBit) {
+  cir::TransientOptions opt;
+  opt.t_stop_s = 0.4e-9;
+  opt.dt_s = 1e-12;
+  cir::Circuit ckt = make_rc_ladder(20, 100.0, 1e-15);
+  const cir::TransientResult full = cir::simulate_transient(ckt, opt);
+  // Out of id order, with ground and a duplicate.
+  opt.probes = {ckt.node("n19"), 0, ckt.node("n3"), ckt.node("n19")};
+  const cir::TransientResult probed = cir::simulate_transient(ckt, opt);
+  ASSERT_EQ(probed.steps(), full.steps());
+  EXPECT_EQ(probed.time(), full.time());
+  for (const cir::NodeId n : opt.probes) {
+    const auto& a = full.voltage(n);
+    const auto& b = probed.voltage(n);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+                std::bit_cast<std::uint64_t>(b[i]))
+          << "node " << n << " step " << i;
+    }
+  }
+}
+
+TEST(TransientProbes, ReadingAnUnrecordedNodeThrowsNamingIt) {
+  cir::TransientOptions opt;
+  opt.t_stop_s = 0.1e-9;
+  opt.dt_s = 1e-12;
+  cir::Circuit ckt = make_rc_ladder(5, 100.0, 1e-15);
+  const cir::NodeId kept = ckt.node("n4");
+  const cir::NodeId dropped = ckt.node("n2");
+  opt.probes = {kept};
+  const cir::TransientResult res = cir::simulate_transient(ckt, opt);
+  EXPECT_EQ(res.voltage(kept).size(), res.steps());
+  try {
+    (void)res.voltage(dropped);
+    FAIL() << "reading an unrecorded node must throw";
+  } catch (const cnti::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("node " + std::to_string(dropped) +
+                                         " was not recorded"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)res.voltage(ckt.node_count() + 1),
+               cnti::PreconditionError);
+}
+
+TEST(TransientProbes, OutOfRangeProbeIsRejected) {
+  cir::TransientOptions opt;
+  opt.t_stop_s = 0.1e-9;
+  opt.dt_s = 1e-12;
+  const cir::Circuit ckt = make_rc_ladder(3, 100.0, 1e-15);
+  opt.probes = {ckt.node_count() + 1};
+  EXPECT_THROW((void)cir::simulate_transient(ckt, opt),
+               cnti::PreconditionError);
+  opt.probes = {-1};
+  EXPECT_THROW((void)cir::simulate_transient(ckt, opt),
+               cnti::PreconditionError);
+}
+
 }  // namespace
