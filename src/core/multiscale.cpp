@@ -1,5 +1,6 @@
 #include "core/multiscale.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "common/units.hpp"
@@ -9,6 +10,11 @@ namespace cnti::core {
 void validate_multiscale_input(const MultiscaleInput& in) {
   CNTI_EXPECTS(in.outer_diameter_nm >= 1.0, "diameter must be >= 1 nm");
   CNTI_EXPECTS(in.length_um > 0, "length must be positive");
+  // A negative load would run and return a physically wrong (shorter)
+  // delay; 0 is a valid open far end.
+  CNTI_EXPECTS(std::isfinite(in.load_capacitance_ff) &&
+                   in.load_capacitance_ff >= 0.0,
+               "workload.load_capacitance_ff must be finite and >= 0");
 }
 
 ChannelStage doping_channel_stage(atomistic::DopantSpecies species,

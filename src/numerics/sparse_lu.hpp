@@ -100,7 +100,9 @@ class SparseLu {
     static const obs::Histogram solve_hist =
         obs::histogram("cnti.solver.solve_ns");
     solves.add();
-    const obs::ObsSpan span("sparse_lu.solve", "solver", solve_hist);
+    // Histogram only: one trace event per solve would flood the ring (a
+    // 1,000-step transient solves 1,001 times); mna.transient spans them.
+    const obs::HistogramTimer timer(solve_hist);
     // Forward substitution L y = P b (L unit lower triangular in pivot
     // space; li_ stores original row ids, pinv_ maps them to pivot space).
     std::vector<double> y(n_);

@@ -418,11 +418,13 @@ void write_metrics_prometheus(std::ostream& out, const MetricsSnapshot& snap) {
         << pn << " " << json_number(value) << "\n";
   }
   for (const auto& [name, h] : snap.histograms) {
-    // The exposition is in seconds, so a registry name's `_ns` unit suffix
-    // becomes `_seconds` (the registry and the JSON keep `_ns`).
+    // A duration histogram is exposed in seconds, so its registry name's
+    // `_ns` unit suffix becomes `_seconds` (the registry and the JSON keep
+    // `_ns`); any other histogram holds unitless values and keeps them.
     std::string_view base = name;
     const bool in_ns = base.ends_with("_ns");
     if (in_ns) base.remove_suffix(3);
+    const double unit = in_ns ? 1e-9 : 1.0;
     const std::string pn =
         prometheus_name(std::string(base) + (in_ns ? "_seconds" : ""));
     out << "# TYPE " << pn << " histogram\n";
@@ -430,14 +432,14 @@ void write_metrics_prometheus(std::ostream& out, const MetricsSnapshot& snap) {
     for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
       if (h.buckets[b] == 0) continue;
       cumulative += h.buckets[b];
-      // Bucket b holds ns with bit_width == b, so its upper bound is
-      // 2^b - 1 ns; expose the bound in seconds per Prometheus convention.
-      const double le_s = (std::ldexp(1.0, static_cast<int>(b)) - 1.0) * 1e-9;
-      out << pn << "_bucket{le=\"" << json_number(le_s) << "\"} " << cumulative
+      // Bucket b holds values with bit_width == b, so its upper bound is
+      // 2^b - 1 (ns, exposed in seconds per Prometheus convention).
+      const double le = (std::ldexp(1.0, static_cast<int>(b)) - 1.0) * unit;
+      out << pn << "_bucket{le=\"" << json_number(le) << "\"} " << cumulative
           << "\n";
     }
     out << pn << "_bucket{le=\"+Inf\"} " << h.count << "\n"
-        << pn << "_sum " << json_number(static_cast<double>(h.sum_ns) * 1e-9)
+        << pn << "_sum " << json_number(static_cast<double>(h.sum_ns) * unit)
         << "\n"
         << pn << "_count " << h.count << "\n";
   }

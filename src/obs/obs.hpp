@@ -102,6 +102,9 @@ class Histogram {
  public:
   Histogram() = default;
   void record_ns(std::uint64_t ns) const;
+  /// Records a unitless value (an order, a count) into a histogram whose
+  /// name does not end in `_ns`; the exposition then keeps raw units.
+  void record(std::uint64_t value) const { record_ns(value); }
   bool valid() const { return cell0_ != SIZE_MAX; }
 
  private:
@@ -179,6 +182,26 @@ std::uint64_t span_start();
 /// `tier` must be string literals or intern_name() results.
 void span_end(const char* name, const char* tier, std::uint64_t t0,
               Histogram hist = {});
+
+/// RAII histogram-only timing: feeds `hist` while timing is active and
+/// never writes a trace event. For calls too frequent to trace one by one
+/// (a sparse-LU solve runs once per time step), whose per-call span would
+/// flood the ring; the enclosing span carries them in the trace.
+class HistogramTimer {
+ public:
+  explicit HistogramTimer(Histogram hist) : hist_(hist), t0_(span_start()) {}
+  HistogramTimer(const HistogramTimer&) = delete;
+  HistogramTimer& operator=(const HistogramTimer&) = delete;
+  ~HistogramTimer() {
+    if (t0_ == 0) return;
+    const std::uint64_t t1 = now_ns();
+    hist_.record_ns(t1 > t0_ ? t1 - t0_ : 0);
+  }
+
+ private:
+  Histogram hist_;
+  std::uint64_t t0_;
+};
 
 /// RAII span. Usage:
 ///   obs::ObsSpan span("prima.reduce", "rom", reduce_hist);

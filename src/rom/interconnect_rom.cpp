@@ -162,6 +162,8 @@ BusRom::BusRom(const BusConfig& config, PrimaOptions options)
       rom_(reduce_bus(config, options)) {
   CNTI_EXPECTS(aggressor_ >= 0 && aggressor_ < config_.lines,
                "BusRom: aggressor index out of range");
+  static const obs::Histogram order_hist = obs::histogram("cnti.rom.order");
+  order_hist.record(static_cast<std::uint64_t>(rom_.order()));
 }
 
 BusRom::BusRom(const circuit::BusTopology& topology, int aggressor,

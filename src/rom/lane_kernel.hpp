@@ -4,7 +4,7 @@
 // ParametrizedBusRom::evaluate are its one-lane call, and the statistical
 // study feeds it groups of kLanes technology samples.
 //
-// Why lanes. A reduced model is dense (q ~ 160 on the 16 x 128 bus), and
+// Why lanes. A reduced model is dense (q ~ 100 on the 16 x 128 bus), and
 // every row of the step recurrence — the history matvec and the two
 // triangular solves — is one serial chain of dependent adds. One sample
 // alone therefore waits on floating-point add latency, not on memory.
@@ -40,8 +40,9 @@ namespace cnti::rom {
 
 /// Samples per lockstep group. Four lanes fill two SSE2 registers per
 /// row term and keep the interleaved working set of the 16 x 128 study
-/// (2 q^2 K doubles, 1.6 MB at q = 160) inside a 2 MB L2; eight lanes
-/// spill it and gain less (see docs/MODEL_ORDER_REDUCTION.md).
+/// (2 q^2 K doubles, 1.6 MB at the q = 160 it was tuned on) inside a 2 MB
+/// L2; eight lanes spilled it and gained less (see
+/// docs/MODEL_ORDER_REDUCTION.md).
 inline constexpr std::size_t kLanes = 4;
 
 class LaneKernel {

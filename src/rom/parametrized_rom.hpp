@@ -4,8 +4,26 @@
 // re-running PRIMA per sample would cost more than the full transient it
 // replaces. Instead, reduce once at the 2^k corner anchors of the varied
 // axes (line R/m, line C/m, neighbour-coupling C/m extremes), merge the
-// corner Krylov bases into one orthonormal basis V, and re-project every
-// corner's full-order G/C through that common V.
+// corner Krylov bases into one orthonormal basis, compress it, and
+// re-project every corner's full-order G/C through that common V.
+//
+// Compression ("poor man's TBR", Phillips & Silveira 2005, on the
+// multiparameter moment-matching bases of Daniel et al. 2004): the MGS
+// merge records its coefficients, so the stacked corner bases factor as
+// W = Q R; with the SVD R = U S Y^T, V = Q U holds W's directions by
+// descending singular value without ever forming W^T W. The corners share
+// most of their Krylov space, so the spectrum falls fast and every leading
+// r columns of V is the best rank-r basis for all corners at once.
+//
+// Sizing by an error budget: the order is the smallest r whose model meets
+// a quarter of kErrorBudget (relative noise and delay) against the full
+// sparse-MNA transient at deterministic interior probes of the box, under
+// the nominal drive. The references run once; the search over r runs only
+// ROM transients, because the order-r model is the leading r x r block of
+// the full-rank projection. If even the full merged rank misses, the
+// corner order rises by one block moment, up to the BusRom budget.
+// Sizing reads only the topology, box and aggressor — a reduction's cache
+// key.
 //
 // Evaluation at an interior technology point blends the corner-projected
 // matrices multilinearly in *transformed* coordinates — 1/scale for the
@@ -56,19 +74,29 @@ struct ParamRomValidation {
 
 class ParametrizedBusRom {
  public:
+  /// Relative noise and delay error budget against full sparse MNA;
+  /// sizing holds its probes to a quarter of it, leaving headroom for
+  /// other interior points and lighter loads (see the header comment).
+  static constexpr double kErrorBudget = 1e-4;
+
   /// Reduces the bare coupled bus at every corner of `box` around
-  /// `nominal` and merges the bases. `aggressor` only selects the driven
-  /// port for evaluate() (-1 = centre). `corner_options` applies to each
-  /// corner reduction: order <= 0 picks the BusRom budget, expansion 0 the
-  /// nominal topology's settle-time corner (one expansion point for all
-  /// corners, so the bases stay comparable).
+  /// `nominal`, merges and compresses the bases and sizes the model to
+  /// kErrorBudget. `aggressor` only selects the driven port for evaluate()
+  /// (-1 = centre). `corner_options` applies to each corner reduction:
+  /// expansion 0 picks the nominal topology's settle-time corner (one
+  /// expansion point for all corners, so the bases stay comparable);
+  /// order <= 0 starts at one block moment (2 x lines columns) and adds a
+  /// block, up to the BusRom budget (6 x lines, at most half the full
+  /// order), while even the full merged rank misses the error budget — a
+  /// positive order is the starting order instead. A degenerate box is
+  /// the BusRom reduction at the BusRom budget, uncompressed.
   ParametrizedBusRom(const circuit::BusTopology& nominal,
                      const BusTechBox& box, int aggressor = -1,
                      PrimaOptions corner_options = {.order = 0});
 
   int lines() const { return topology_.lines; }
   int full_order() const { return full_order_; }
-  /// Merged-basis size: every blended model is order() x order().
+  /// Sized basis size: every blended model is order() x order().
   int order() const { return static_cast<int>(basis_size_); }
   int corners() const { return static_cast<int>(corner_points_.size()); }
   int aggressor() const { return aggressor_; }
@@ -115,6 +143,23 @@ class ParametrizedBusRom {
                                           int time_steps = 1500) const;
 
  private:
+  /// Sizing probes, the scenario they run and their full-MNA results —
+  /// computed once per construction, reused if the corner order rises.
+  struct SizingReference {
+    std::vector<BusTechPoint> points;
+    BusScenario scenario;  ///< The nominal (default BusDrive) scenario.
+    std::vector<circuit::BusCrosstalkResult> mna;
+  };
+
+  /// Sets the corner matrices and port projections through the basis `v`
+  /// (order() = v.size()).
+  void project_corners(const std::vector<StateSpace>& corner_ss,
+                       const std::vector<std::vector<double>>& v);
+  /// Truncates the full-rank projection to the smallest order whose
+  /// probes meet kErrorBudget / 4; returns false (keeping the full rank)
+  /// when even the full rank misses it.
+  bool size_to_budget(SizingReference& reference);
+
   /// Blends V^T G(p) V / V^T C(p) V into g and c (q x q).
   void blend_into(const BusTechPoint& point, numerics::MatrixD& g,
                   numerics::MatrixD& c) const;

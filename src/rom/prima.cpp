@@ -44,7 +44,8 @@ SparseMatrix shifted_pencil(const SparseMatrix& g, const SparseMatrix& c,
 
 }  // namespace
 
-ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
+std::vector<std::vector<double>> prima_basis(const StateSpace& ss,
+                                             const PrimaOptions& options) {
   CNTI_EXPECTS(options.order >= 1, "prima: order must be >= 1");
   CNTI_EXPECTS(options.expansion_rad_per_s >= 0,
                "prima: expansion point must be >= 0");
@@ -59,7 +60,6 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
   static const obs::Counter arnoldi_vectors =
       obs::counter("cnti.rom.arnoldi_vectors");
   static const obs::Counter deflations = obs::counter("cnti.rom.deflations");
-  static const obs::Gauge basis_gauge = obs::gauge("cnti.rom.basis_size");
   static const obs::Histogram reduce_hist =
       obs::histogram("cnti.rom.reduce_ns");
   reductions.add();
@@ -122,11 +122,17 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
     prev_block = std::move(next_block);
   }
 
+  return basis;
+}
+
+ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
+  const std::vector<std::vector<double>> basis = prima_basis(ss, options);
+  const std::size_t n = static_cast<std::size_t>(ss.size);
+
   // Congruence projection onto the span of the basis.
   const std::size_t q = basis.size();
-  basis_gauge.set(static_cast<double>(q));
   MatrixD gr(q, q), cr(q, q);
-  std::vector<double> gv(n);
+  std::vector<double> gv(n), cv(n);
   for (std::size_t j = 0; j < q; ++j) {
     ss.g.multiply(basis[j], gv);
     ss.c.multiply(basis[j], cv);
@@ -148,10 +154,8 @@ ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options) {
       lr(i, j) = s;
     }
   }
-  ReducedModel rm(std::move(gr), std::move(cr), std::move(br),
-                  std::move(lr), ss.input_names, ss.output_names, ss.size);
-  if (options.keep_basis) rm.set_basis(std::move(basis));
-  return rm;
+  return ReducedModel(std::move(gr), std::move(cr), std::move(br),
+                      std::move(lr), ss.input_names, ss.output_names, ss.size);
 }
 
 }  // namespace cnti::rom

@@ -13,6 +13,8 @@
 // driver/load/waveform scenarios against the q x q system.
 #pragma once
 
+#include <vector>
+
 #include "rom/reduced_model.hpp"
 #include "rom/state_space.hpp"
 
@@ -31,16 +33,17 @@ struct PrimaOptions {
   /// pre-orthogonalization norm is considered linearly dependent and
   /// deflated from the block.
   double deflation_tol = 1e-8;
-  /// Retain the orthonormal projection basis V (n x q) on the returned
-  /// model. Costs n*q doubles of storage; required for uses that map
-  /// between full and reduced coordinates, e.g. merging corner bases in
-  /// ParametrizedBusRom.
-  bool keep_basis = false;
 };
 
 /// Runs block Arnoldi + congruence projection on an extracted descriptor
 /// system. Throws NumericalError when G + s0 C is singular and
 /// PreconditionError on an empty input block or nonpositive order.
 ReducedModel prima_reduce(const StateSpace& ss, const PrimaOptions& options = {});
+
+/// The block-Arnoldi half of prima_reduce alone (one prima.reduce span):
+/// the orthonormal basis V, q vectors of ss.size entries, that
+/// prima_reduce projects through. Same preconditions.
+std::vector<std::vector<double>> prima_basis(const StateSpace& ss,
+                                             const PrimaOptions& options);
 
 }  // namespace cnti::rom

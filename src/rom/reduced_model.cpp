@@ -106,10 +106,8 @@ ReducedModel ReducedModel::terminated(
   MatrixD g = gr_;
   MatrixD c = cr_;
   fold_terminations(g, c, br_, lr_.transpose(), loads);
-  ReducedModel out(std::move(g), std::move(c), br_, lr_, input_names_,
-                   output_names_, full_order_);
-  out.basis_ = basis_;  // same projection span; see basis()
-  return out;
+  return ReducedModel(std::move(g), std::move(c), br_, lr_, input_names_,
+                      output_names_, full_order_);
 }
 
 void fold_terminations(MatrixD& g, MatrixD& c, const MatrixD& br,

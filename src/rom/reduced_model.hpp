@@ -65,17 +65,6 @@ class ReducedModel {
   const numerics::MatrixD& br() const { return br_; }
   const numerics::MatrixD& lr() const { return lr_; }
 
-  /// Orthonormal projection basis V as q full-order columns, retained only
-  /// when the reduction ran with PrimaOptions::keep_basis (empty
-  /// otherwise). terminated() carries it through unchanged: terminations
-  /// are congruence updates in the reduced space, the span of V is the
-  /// same.
-  const std::vector<std::vector<double>>& basis() const { return basis_; }
-  bool has_basis() const { return !basis_.empty(); }
-  void set_basis(std::vector<std::vector<double>> basis) {
-    basis_ = std::move(basis);
-  }
-
   /// Model with external shunt terminations folded into Gr/Cr (rank-1
   /// congruence updates; preserves stability because the terminated full
   /// network is still passive). See fold_terminations.
@@ -128,7 +117,6 @@ class ReducedModel {
  private:
   numerics::MatrixD gr_, cr_, br_, lr_;
   std::vector<std::string> input_names_, output_names_;
-  std::vector<std::vector<double>> basis_;  ///< [q][n], see basis().
   int full_order_ = 0;
 };
 

@@ -317,8 +317,9 @@ StatisticalShard ScenarioEngine::run_statistical(const Scenario& s,
   // across every sample, shard and thread of the study. Memory-only, like
   // the plain BusRom stage: the reduction nests inside the per-sample
   // evaluations and is cheap relative to the study it unlocks.
-  // .v2: blocked sparse-LU kernel era (see engine.cpp's .v4 bumps).
-  KeyHasher prom_key("stage.bus-prom.v2");
+  // .v3: compressed corner basis sized to the ROM error budget (the
+  // reduction's values changed; sizing reads only what this key holds).
+  KeyHasher prom_key("stage.bus-prom.v3");
   prom_key.add(topology.line.series_resistance_ohm)
       .add(topology.line.resistance_per_m)
       .add(topology.line.capacitance_per_m)

@@ -19,6 +19,7 @@
 #include "numerics/sparse.hpp"
 #include "numerics/sparse_lu.hpp"
 #include "numerics/stats.hpp"
+#include "numerics/svd.hpp"
 
 namespace cn = cnti::numerics;
 
@@ -763,6 +764,97 @@ TEST(Eigenvalues, SymmetricMatrixStaysReal) {
 TEST(Eigenvalues, RejectsNonSquare) {
   EXPECT_THROW(cn::eigenvalues(cn::MatrixD(2, 3)), cnti::PreconditionError);
   EXPECT_TRUE(cn::eigenvalues(cn::MatrixD()).empty());
+}
+
+// --- One-sided Jacobi SVD ---------------------------------------------------
+
+/// max |a - u diag(s) v^T|, and the orthonormality defects of u and v.
+struct SvdCheck {
+  double reconstruction = 0.0, u_ortho = 0.0, v_ortho = 0.0;
+};
+
+SvdCheck check_svd(const cn::MatrixD& a, const cn::SvdResult& r) {
+  SvdCheck c;
+  const std::size_t k = r.values.size();
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      double s = 0.0;
+      for (std::size_t t = 0; t < k; ++t) s += r.u(i, t) * r.values[t] * r.v(j, t);
+      c.reconstruction = std::max(c.reconstruction, std::abs(s - a(i, j)));
+    }
+  }
+  const auto ortho = [&](const cn::MatrixD& m) {
+    double worst = 0.0;
+    for (std::size_t x = 0; x < k; ++x) {
+      for (std::size_t y = 0; y < k; ++y) {
+        double d = 0.0;
+        for (std::size_t i = 0; i < m.rows(); ++i) d += m(i, x) * m(i, y);
+        worst = std::max(worst, std::abs(d - (x == y ? 1.0 : 0.0)));
+      }
+    }
+    return worst;
+  };
+  c.u_ortho = ortho(r.u);
+  c.v_ortho = ortho(r.v);
+  return c;
+}
+
+TEST(Svd, TallAndWideRandomMatricesFactorExactly) {
+  cn::Rng rng(19);
+  for (const auto& [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{9, 5}, {5, 9}, {12, 12}}) {
+    cn::MatrixD a(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.uniform(-1, 1);
+    }
+    const cn::SvdResult r = cn::svd(a);
+    const std::size_t k = std::min(rows, cols);
+    ASSERT_EQ(r.values.size(), k);
+    ASSERT_EQ(r.u.rows(), rows);
+    ASSERT_EQ(r.u.cols(), k);
+    ASSERT_EQ(r.v.rows(), cols);
+    ASSERT_EQ(r.v.cols(), k);
+    for (std::size_t t = 1; t < k; ++t) EXPECT_GE(r.values[t - 1], r.values[t]);
+    const SvdCheck c = check_svd(a, r);
+    EXPECT_LT(c.reconstruction, 1e-13) << rows << "x" << cols;
+    EXPECT_LT(c.u_ortho, 1e-13);
+    EXPECT_LT(c.v_ortho, 1e-13);
+  }
+}
+
+TEST(Svd, SmallSingularValuesKeepTheirRelativeAccuracy) {
+  // a = Q1 diag(1, 1e-6, 1e-12) Q2^T with exact rotations: a Gram-matrix
+  // route would lose the 1e-12 value to rounding (1e-24 vs 1e-16).
+  const double c1 = 0.6, s1 = 0.8, c2 = 0.28, s2 = 0.96;
+  const double sv[3] = {1.0, 1e-6, 1e-12};
+  cn::MatrixD q1{3, 3}, q2{3, 3}, a{3, 3};
+  q1(0, 0) = c1; q1(0, 1) = -s1; q1(1, 0) = s1; q1(1, 1) = c1; q1(2, 2) = 1.0;
+  q2(0, 0) = 1.0; q2(1, 1) = c2; q2(1, 2) = -s2; q2(2, 1) = s2; q2(2, 2) = c2;
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      for (std::size_t t = 0; t < 3; ++t) a(i, j) += q1(i, t) * sv[t] * q2(j, t);
+    }
+  }
+  const cn::SvdResult r = cn::svd(a);
+  for (std::size_t t = 0; t < 3; ++t) {
+    EXPECT_NEAR(r.values[t], sv[t], 1e-9 * sv[t]) << t;
+  }
+}
+
+TEST(Svd, WideRankDeficientInputKeepsAFullLeftBasis) {
+  // Rows 0 and 2 coincide: one zero singular value. The wide case's left
+  // factor comes from the accumulated rotations and stays orthonormal.
+  cn::MatrixD a(3, 6);
+  for (std::size_t j = 0; j < 6; ++j) {
+    a(0, j) = a(2, j) = static_cast<double>(j) - 2.5;
+    a(1, j) = (j % 2 == 0) ? 1.0 : -0.5;
+  }
+  const cn::SvdResult r = cn::svd(a);
+  EXPECT_NEAR(r.values[2], 0.0, 1e-14);
+  const SvdCheck c = check_svd(a, r);
+  EXPECT_LT(c.reconstruction, 1e-13);
+  EXPECT_LT(c.u_ortho, 1e-13);
+  EXPECT_TRUE(cn::svd(cn::MatrixD()).values.empty());
 }
 
 }  // namespace

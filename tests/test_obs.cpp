@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "numerics/sparse.hpp"
+#include "numerics/sparse_lu.hpp"
 #include "obs/obs.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/report.hpp"
@@ -239,6 +241,54 @@ TEST(Trace, SessionCapturesSpansAcrossThreadsSortedByStart) {
 
   // stop() is idempotent and the session released its enable reference.
   EXPECT_TRUE(session.stop().empty());
+}
+
+TEST(Trace, SparseLuSolvesAreTimedWithoutTraceEvents) {
+  // One event per solve would overflow the ring on a traced transient
+  // (1,001 solves per call), so solves feed the histogram only.
+  cnti::numerics::SparseBuilder builder(3, 3);
+  builder.add(0, 0, 4.0);
+  builder.add(0, 1, -1.0);
+  builder.add(1, 0, -1.0);
+  builder.add(1, 1, 4.0);
+  builder.add(1, 2, -1.0);
+  builder.add(2, 1, -1.0);
+  builder.add(2, 2, 4.0);
+  cnti::numerics::SparseLu lu;
+  lu.factorize(builder.build());
+  const auto solve_count = [] {
+    const auto snap = obs::metrics_snapshot();
+    const auto it = snap.histograms.find("cnti.solver.solve_ns");
+    return it == snap.histograms.end() ? std::uint64_t{0} : it->second.count;
+  };
+
+  constexpr int kSolves = 50;
+  obs::TraceSession session;
+  const std::uint64_t before = solve_count();
+  for (int i = 0; i < kSolves; ++i) (void)lu.solve({1.0, 2.0, 3.0});
+  const std::uint64_t after = solve_count();
+  const std::vector<obs::TraceEvent> events = session.stop();
+
+  EXPECT_EQ(after - before, static_cast<std::uint64_t>(kSolves));
+  for (const obs::TraceEvent& ev : events) {
+    EXPECT_STRNE(ev.name, "sparse_lu.solve");
+  }
+}
+
+TEST(Metrics, PrometheusKeepsUnitlessHistogramsInRawUnits) {
+  // Only `_ns` histograms are durations; an order or a count histogram is
+  // exposed as recorded.
+  const obs::Histogram h = obs::histogram("cnti.test.prom_order");
+  h.record(80);
+  std::ostringstream prom;
+  obs::write_metrics_prometheus(prom, obs::metrics_snapshot());
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("cnti_test_prom_order_sum 80\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("cnti_test_prom_order_bucket{le=\"127\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("cnti_test_prom_order_seconds"), std::string::npos);
 }
 
 TEST(Trace, JsonOutputSatisfiesTheStrictReader) {

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdint>
 #include <complex>
+#include <cstring>
+#include <memory>
 #include <limits>
 #include <string>
 
@@ -19,16 +21,23 @@
 #include "circuit/builders.hpp"
 #include "circuit/crosstalk.hpp"
 #include "circuit/mna.hpp"
+#include "core/multiscale.hpp"
 #include "core/mwcnt_line.hpp"
 #include "core/sweep_engine.hpp"
+#include "numerics/eig.hpp"
 #include "numerics/interp.hpp"
+#include "numerics/rng.hpp"
+#include "obs/obs.hpp"
 #include "rom/interconnect_rom.hpp"
 #include "rom/parametrized_rom.hpp"
 #include "rom/prima.hpp"
+#include "scenario/engine.hpp"
+#include "scenario/statistical.hpp"
 
 namespace cir = cnti::circuit;
 namespace cc = cnti::core;
 namespace rom = cnti::rom;
+namespace sc = cnti::scenario;
 
 namespace {
 
@@ -86,6 +95,8 @@ cir::BusConfig paper_bus(int lines, int segments) {
   cfg.segments = segments;
   return cfg;
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 // --- State-space extraction contracts ------------------------------------
 
@@ -574,31 +585,34 @@ TEST(RomSweep, ParallelScenarioSweepIsThreadCountInvariant) {
 
 // --- Projection basis retention ------------------------------------------
 
-TEST(Prima, KeepBasisRetainsVThroughTermination) {
-  // keep_basis stores the n x q projection basis V on the model, which
-  // ParametrizedBusRom needs to merge its corner bases. Terminations are
-  // reduced-space congruence updates, so V survives them unchanged.
+TEST(Prima, BasisIsWhatReduceProjectsThrough) {
+  // prima_basis returns the orthonormal n x q basis V that prima_reduce
+  // projects through (ParametrizedBusRom merges the corner bases): the
+  // congruence V^T G V recomputed from it matches the reduced model bit
+  // for bit.
   const cir::BusConfig cfg = paper_bus(4, 12);
   const rom::BusStateSpace bus = rom::extract_bus_state_space(cfg.topology());
   rom::PrimaOptions opt;
   opt.order = 12;
   opt.expansion_rad_per_s = 20.0 / cir::bus_settle_time_s(cfg);
-  opt.keep_basis = true;
+  const std::vector<std::vector<double>> v = rom::prima_basis(bus.ss, opt);
   const rom::ReducedModel m = rom::prima_reduce(bus.ss, opt);
-  ASSERT_TRUE(m.has_basis());
-  EXPECT_EQ(static_cast<int>(m.basis().size()), m.order());
-  for (const auto& col : m.basis()) {
-    EXPECT_EQ(static_cast<int>(col.size()), m.full_order());
+  ASSERT_EQ(static_cast<int>(v.size()), m.order());
+  const auto dot = [](const std::vector<double>& a,
+                      const std::vector<double>& b) {
+    double s = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+    return s;
+  };
+  std::vector<double> gv(static_cast<std::size_t>(m.full_order()));
+  for (std::size_t j = 0; j < v.size(); ++j) {
+    ASSERT_EQ(static_cast<int>(v[j].size()), m.full_order());
+    bus.ss.g.multiply(v[j], gv);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_NEAR(dot(v[i], v[j]), i == j ? 1.0 : 0.0, 1e-12);
+      EXPECT_EQ(bits(dot(v[i], gv)), bits(m.gr()(i, j))) << i << "," << j;
+    }
   }
-  const rom::ReducedModel term = m.terminated({{0, 0, 1e-4, 0.0}});
-  EXPECT_TRUE(term.has_basis());
-  EXPECT_EQ(term.basis(), m.basis());
-
-  // Without keep_basis (the default, and what BusRom uses) nothing is
-  // stored.
-  opt.keep_basis = false;
-  EXPECT_FALSE(rom::prima_reduce(bus.ss, opt).has_basis());
-  EXPECT_FALSE(rom::BusRom(cfg).model().has_basis());
 }
 
 // --- Corner-anchored parametrized bus ROM --------------------------------
@@ -729,9 +743,198 @@ TEST(ParamRom, WindowTracksTheTechnologyPoint) {
             cir::bus_settle_time_s(prom.topology_at(p), drive));
 }
 
-// --- Lockstep lane kernel --------------------------------------------------
+// --- Compressed, budget-sized parametrized ROM -----------------------------
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+/// The 16 x 128 statistical-study bus (the repository benchmark's
+/// stat_study): its box, drive and parametrized ROM, built once.
+struct StudyBox {
+  cir::BusTopology topology;
+  rom::BusTechBox box;
+  rom::BusScenario scenario;
+  cir::BusDrive drive;
+  int time_steps = 200;
+  std::unique_ptr<rom::ParametrizedBusRom> prom;
+};
+
+const StudyBox& study_box() {
+  static const StudyBox study = [] {
+    sc::Scenario s;
+    s.workload.bus_lines = 16;
+    s.workload.bus_segments = 128;
+    s.variability.samples = 1;
+    s.variability.resistance_span = 0.15;
+    s.variability.capacitance_span = 0.10;
+    s.variability.coupling_span = 0.20;
+    const cc::MultiscaleInput in = sc::to_multiscale_input(s);
+    const cc::MwcntLine line(cc::multiscale_line_spec(
+        in,
+        cc::doping_channel_stage(s.tech.dopant, s.tech.dopant_concentration),
+        cc::environment_capacitance(s.tech.environment)));
+    StudyBox out;
+    out.topology = sc::to_bus_topology(s, line);
+    out.box = sc::tech_box(s.variability);
+    out.drive = sc::to_bus_drive(s);
+    out.scenario.driver_ohm = out.drive.driver_ohm;
+    out.scenario.receiver_load_f = out.drive.receiver_load_f;
+    out.scenario.vdd_v = out.drive.vdd_v;
+    out.scenario.edge_time_s = out.drive.edge_time_s;
+    out.prom = std::make_unique<rom::ParametrizedBusRom>(
+        out.topology, out.box, out.drive.aggressor);
+    return out;
+  }();
+  return study;
+}
+
+/// `count` seeded uniform points of `box` — held out: the sizing probes
+/// are a fixed centre-plus-factorial grid, never random draws.
+std::vector<rom::BusTechPoint> random_interior_points(
+    const rom::BusTechBox& box, int count, std::uint64_t seed) {
+  cnti::numerics::Rng rng(seed);
+  std::vector<rom::BusTechPoint> out;
+  for (int i = 0; i < count; ++i) {
+    out.push_back({rng.uniform(box.lo.resistance_scale, box.hi.resistance_scale),
+                   rng.uniform(box.lo.capacitance_scale, box.hi.capacitance_scale),
+                   rng.uniform(box.lo.coupling_scale, box.hi.coupling_scale)});
+  }
+  return out;
+}
+
+/// Worst relative noise / delay error of `prom` against the full sparse
+/// MNA transient over `points`.
+std::pair<double, double> worst_error_vs_mna(
+    const rom::ParametrizedBusRom& prom, const rom::BusScenario& sc,
+    cir::BusDrive drive, const std::vector<rom::BusTechPoint>& points,
+    int time_steps) {
+  drive.driver_ohm = sc.driver_ohm;
+  drive.receiver_load_f = sc.receiver_load_f;
+  drive.vdd_v = sc.vdd_v;
+  drive.edge_time_s = sc.edge_time_s;
+  double noise = 0.0, delay = 0.0;
+  for (const rom::BusTechPoint& p : points) {
+    const auto red = prom.evaluate(p, sc, time_steps);
+    const auto full = cir::analyze_bus_crosstalk(
+        cir::make_bus_config(prom.topology_at(p), drive), time_steps);
+    EXPECT_EQ(red.worst_victim, full.worst_victim);
+    noise = std::max(noise, std::abs(red.peak_noise_v - full.peak_noise_v) /
+                                std::abs(full.peak_noise_v));
+    delay = std::max(delay,
+                     std::abs(red.aggressor_delay_s - full.aggressor_delay_s) /
+                         full.aggressor_delay_s);
+  }
+  return {noise, delay};
+}
+
+TEST(SizedRom, StudyBoxHeldOutPointsMeetTheBudgetBelowTheOldOrder) {
+  const StudyBox& study = study_box();
+  // The old corner order alone (6 x lines = 96) is exceeded by any merged
+  // basis of eight corners; the sized model is smaller than one corner's.
+  EXPECT_LT(study.prom->order(), 96);
+  EXPECT_EQ(study.prom->full_order(), 2096);
+  const auto [noise, delay] = worst_error_vs_mna(
+      *study.prom, study.scenario, study.drive,
+      random_interior_points(study.box, 20, 0x5eedULL), study.time_steps);
+  EXPECT_LE(noise, rom::ParametrizedBusRom::kErrorBudget);
+  EXPECT_LE(delay, rom::ParametrizedBusRom::kErrorBudget);
+}
+
+TEST(SizedRom, TestBoxHeldOutPointsMeetTheBudget) {
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  const rom::BusTechBox box{{0.85, 0.90, 0.80}, {1.15, 1.10, 1.20}};
+  const rom::ParametrizedBusRom prom(cfg.topology(), box);
+  EXPECT_LT(prom.order(), prom.full_order());
+  rom::BusScenario sc;
+  const auto points = random_interior_points(box, 20, 0xb0bULL);
+  for (const int steps : {200, 400}) {
+    const auto [noise, delay] =
+        worst_error_vs_mna(prom, sc, cir::BusDrive{}, points, steps);
+    EXPECT_LE(noise, rom::ParametrizedBusRom::kErrorBudget) << steps;
+    EXPECT_LE(delay, rom::ParametrizedBusRom::kErrorBudget) << steps;
+  }
+}
+
+/// Largest |m - m^T| entry and the smallest eigenvalue of (m + m^T) / 2,
+/// both relative to the largest |eigenvalue| of that symmetric part.
+std::pair<double, double> asymmetry_and_min_eig(const cnti::numerics::MatrixD& m) {
+  const std::size_t q = m.rows();
+  cnti::numerics::MatrixD sym(q, q);
+  double asym = 0.0;
+  for (std::size_t i = 0; i < q; ++i) {
+    for (std::size_t j = 0; j < q; ++j) {
+      sym(i, j) = 0.5 * (m(i, j) + m(j, i));
+      asym = std::max(asym, std::abs(m(i, j) - m(j, i)));
+    }
+  }
+  double lo = std::numeric_limits<double>::infinity(), hi = 0.0;
+  for (const auto& z : cnti::numerics::eigenvalues(sym)) {
+    lo = std::min(lo, z.real());
+    hi = std::max(hi, std::abs(z.real()));
+  }
+  return {asym / hi, lo / hi};
+}
+
+TEST(SizedRom, BlendedModelsArePassiveAtInteriorPoints) {
+  // Congruence with the orthonormal compressed basis keeps C symmetric
+  // PSD and G + G^T PSD at every point of the box, up to rounding.
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  const rom::BusTechBox small_box{{0.85, 0.90, 0.80}, {1.15, 1.10, 1.20}};
+  const rom::ParametrizedBusRom small(cfg.topology(), small_box);
+  const StudyBox& study = study_box();
+  const std::pair<const rom::ParametrizedBusRom*, rom::BusTechBox> cases[] = {
+      {&small, small_box}, {study.prom.get(), study.box}};
+  for (const auto& [prom, box] : cases) {
+    for (const rom::BusTechPoint& p : random_interior_points(box, 4, 0xc0deULL)) {
+      const rom::ReducedModel m = prom->model_at(p);
+      const auto [c_asym, c_min] = asymmetry_and_min_eig(m.cr());
+      EXPECT_LT(c_asym, 1e-12) << prom->order();
+      EXPECT_GT(c_min, -1e-12) << prom->order();
+      cnti::numerics::MatrixD g_sum = m.gr();
+      g_sum += m.gr().transpose();
+      EXPECT_GT(asymmetry_and_min_eig(g_sum).second, -1e-12) << prom->order();
+    }
+  }
+}
+
+TEST(SizedRom, SizingIsDeterministic) {
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  const rom::BusTechBox box{{0.85, 0.90, 0.80}, {1.15, 1.10, 1.20}};
+  const rom::ParametrizedBusRom a(cfg.topology(), box);
+  const rom::ParametrizedBusRom b(cfg.topology(), box);
+  ASSERT_EQ(a.order(), b.order());
+  const rom::BusTechPoint p{1.07, 0.93, 1.11};
+  const rom::ReducedModel ma = a.model_at(p);
+  const rom::ReducedModel mb = b.model_at(p);
+  const auto same_bits = [](const cnti::numerics::MatrixD& x,
+                            const cnti::numerics::MatrixD& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::memcmp(x.data(), y.data(),
+                       x.rows() * x.cols() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(ma.gr(), mb.gr()));
+  EXPECT_TRUE(same_bits(ma.cr(), mb.cr()));
+  EXPECT_TRUE(same_bits(ma.br(), mb.br()));
+  EXPECT_TRUE(same_bits(ma.lr(), mb.lr()));
+}
+
+TEST(SizedRom, EveryBuildRecordsItsOrderOnce) {
+  const auto builds = [] {
+    const auto snap = cnti::obs::metrics_snapshot();
+    const auto it = snap.histograms.find("cnti.rom.order");
+    return it == snap.histograms.end()
+               ? std::pair<std::uint64_t, std::uint64_t>{0, 0}
+               : std::pair{it->second.count, it->second.sum_ns};
+  };
+  const cir::BusConfig cfg = paper_bus(4, 8);
+  const auto before = builds();
+  const rom::BusRom bus(cfg);
+  const rom::ParametrizedBusRom prom(
+      cfg.topology(), rom::BusTechBox{{0.9, 1.0, 0.9}, {1.1, 1.0, 1.1}});
+  const auto after = builds();
+  EXPECT_EQ(after.first - before.first, 2u);
+  EXPECT_EQ(after.second - before.second,
+            static_cast<std::uint64_t>(bus.order() + prom.order()));
+}
+
+// --- Lockstep lane kernel --------------------------------------------------
 
 /// Terminated blended models of the 4 x 8 bus at `points`, and the
 /// matching one-lane transients (ReducedModel::simulate).
@@ -866,17 +1069,17 @@ TEST(RomPins, TransientBitsAreUnchangedByTheLaneKernel) {
   box.hi = {1.15, 1.10, 1.20};
   const rom::ParametrizedBusRom prom(cfg.topology(), box);
   const auto p = prom.evaluate({1.07, 0.93, 1.11}, rom::BusScenario{}, 400);
-  EXPECT_EQ(bits(p.peak_noise_v), 0x3fc15ebf8d19595fULL);
+  EXPECT_EQ(bits(p.peak_noise_v), 0x3fc15ebe9ed82b1eULL);
   EXPECT_EQ(bits(p.peak_time_s), 0x3df138353dfc936eULL);
-  EXPECT_EQ(bits(p.aggressor_delay_s), 0x3df0260f5a91f8adULL);
+  EXPECT_EQ(bits(p.aggressor_delay_s), 0x3df0260f5e1a5685ULL);
   EXPECT_EQ(p.worst_victim, 3);
 
   const rom::ReducedModel m = prom.model_at({1.07, 0.93, 1.11});
   const auto tr = m.step_response(0, 2e-10, 1e-12);
   ASSERT_EQ(tr.time.size(), 201u);
-  EXPECT_EQ(bits(tr.outputs[5][50]), 0x40a2ab0f12d50f4fULL);
-  EXPECT_EQ(bits(tr.outputs[7][200]), 0x40956be65966109fULL);
-  EXPECT_EQ(bits(tr.outputs[0][1]), 0x40c5794a2bec0ba5ULL);
+  EXPECT_EQ(bits(tr.outputs[5][50]), 0x40a2ab1406ac8887ULL);
+  EXPECT_EQ(bits(tr.outputs[7][200]), 0x40956be659cc07a5ULL);
+  EXPECT_EQ(bits(tr.outputs[0][1]), 0x40c576486170322bULL);
 
   // A non-zero input at t = 0 takes the DC-start solve (the runs above
   // start quiescent, where x0 = 0 needs none).
@@ -884,9 +1087,9 @@ TEST(RomPins, TransientBitsAreUnchangedByTheLaneKernel) {
   std::vector<cir::Waveform> waves = f.waves;
   waves[2] = cir::DcWave{1e-4};
   const auto dc = m.terminated(f.loads).simulate(waves, 2e-10, 1e-12);
-  EXPECT_EQ(bits(dc.outputs[6][0]), 0x3fdfffff9b07d57cULL);
-  EXPECT_EQ(bits(dc.outputs[6][100]), 0x3fe3526aabfc7046ULL);
-  EXPECT_EQ(bits(dc.outputs[5][200]), 0x3fe48bc37ea350e7ULL);
+  EXPECT_EQ(bits(dc.outputs[6][0]), 0x3fdfffff9b07a80fULL);
+  EXPECT_EQ(bits(dc.outputs[6][100]), 0x3fe3526aac0bb195ULL);
+  EXPECT_EQ(bits(dc.outputs[5][200]), 0x3fe48bc37ea0e070ULL);
 }
 
 // fold_terminations on a hand-built 5 x 5 model with -0.0 entries in G
